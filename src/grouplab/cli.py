@@ -11,6 +11,8 @@ Subcommands:
 
   verify --corpus builtin --max-order N --checks main,lemmas,... [options]
       Corpus-wide verification; writes the report to --out or stdout.
+      Exit status: 0 no failures, 1 a violation or an error record,
+      2 usage error.
 
 Caps are overridable with --enum-cap and --lattice-cap.
 """
@@ -141,7 +143,11 @@ def _cmd_verify(args) -> int:
         f"fail={report.failed} skip={report.skipped}",
         file=sys.stderr,
     )
-    return 0
+    for r in report.errors:
+        print(f"ERROR: {r.check} on {r.group}: {r.witnesses['error']}", file=sys.stderr)
+    if report.failed and args.witness:
+        print(f"witness written to {args.witness}", file=sys.stderr)
+    return 1 if report.failed else 0
 
 
 def _emit(text: str, out: str | None) -> None:

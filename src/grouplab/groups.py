@@ -2,10 +2,10 @@
 
 A :class:`Group` is immutable after construction.  Its membership structure
 (a base and strong generating set), element list, element index and dense
-multiplication table are all built lazily, each exactly once, behind a
-per-instance lock.  The element list is only materialized for groups whose
-order is at most the enumeration cap; the multiplication table additionally
-requires the order to be at most the table cap.
+multiplication table are all built lazily, each at most once.  The element
+list is only materialized for groups whose order is at most the enumeration
+cap; the multiplication table additionally requires the order to be at most
+the table cap.
 
 Element sets of subgroups are manipulated as bitmasks over the parent
 group's canonical element index (elements sorted lexicographically by image
@@ -14,7 +14,6 @@ array, so index 0 is always the identity).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -158,7 +157,6 @@ class Group:
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.enum_cap = enum_cap
         self.table_cap = table_cap
-        self._lock = threading.Lock()
         self._levels: list[_Level] | None = None
         self._order: int | None = None
         self._elements: tuple[Permutation, ...] | None = _known_elements
@@ -174,9 +172,7 @@ class Group:
 
     def _bsgs(self) -> list[_Level]:
         if self._levels is None:
-            with self._lock:
-                if self._levels is None:
-                    self._levels = _build_bsgs(self.degree, self.generators)
+            self._levels = _build_bsgs(self.degree, self.generators)
         return self._levels
 
     def order(self) -> int:
@@ -184,9 +180,7 @@ class Group:
             n = 1
             for lv in self._bsgs():
                 n *= len(lv.transversal)
-            with self._lock:
-                if self._order is None:
-                    self._order = n
+            self._order = n
         return self._order
 
     def __len__(self) -> int:
@@ -244,23 +238,14 @@ class Group:
                             seen[y.images] = y
                             nxt.append(y)
                 frontier = nxt
-            elems = tuple(sorted(seen.values()))
-            with self._lock:
-                if self._elements is None:
-                    self._elements = elems
-                    if self._order is None:
-                        self._order = len(elems)
+            self._elements = tuple(sorted(seen.values()))
         return self._elements
 
     def _ensure_index(self) -> None:
         if self._index is None:
             elems = self.elements()
-            index = {p.images: i for i, p in enumerate(elems)}
-            emat = np.array([p.images for p in elems], dtype=np.int32)
-            with self._lock:
-                if self._index is None:
-                    self._emat = emat
-                    self._index = index
+            self._emat = np.array([p.images for p in elems], dtype=np.int32)
+            self._index = {p.images: i for i, p in enumerate(elems)}
 
     def element_index(self, g: Permutation) -> int:
         self._ensure_index()
@@ -289,15 +274,12 @@ class Group:
                 for j in range(n):
                     row[j] = lookup[prods[j].tobytes()]
             inv_rows = np.argsort(emat, axis=1).astype(np.int32)
-            inv = np.fromiter(
+            self._inv_idx = np.fromiter(
                 (lookup[inv_rows[i].tobytes()] for i in range(n)),
                 dtype=np.int64,
                 count=n,
             )
-            with self._lock:
-                if self._table is None:
-                    self._inv_idx = inv
-                    self._table = tbl
+            self._table = tbl
         return self._table
 
     def inverse_indices(self) -> np.ndarray:
@@ -703,22 +685,6 @@ class CosetMap:
         proj = self.projection_indices()
         idx = np.unique(proj[indices_from_mask(mask, self.source.order())])
         return mask_from_indices(idx, self.quotient.order())
-
-    def preimage_mask(self, qmask: int) -> int:
-        proj = self.projection_indices()
-        qbits = np.zeros(self.quotient.order(), dtype=bool)
-        qbits[indices_from_mask(qmask, self.quotient.order())] = True
-        return mask_from_indices(np.nonzero(qbits[proj])[0], self.source.order())
-
-    def preimage_group(self, sub: Group) -> Group:
-        return self.source.subgroup_from_mask(
-            self.preimage_mask(self.quotient.mask_of(sub))
-        )
-
-    def image_group(self, sub: Group) -> Group:
-        return self.quotient.subgroup_from_mask(
-            self.image_mask(self.source.mask_of(sub))
-        )
 
 
 def quotient(G: Group, N: Group) -> CosetMap:

@@ -8,7 +8,8 @@ parallelism level.
 
 A genuine violation is a theorem counterexample: the run aborts with a
 serialized witness (group file, family and failing product-set data) so
-the counterexample can be re-checked independently.
+the counterexample can be re-checked independently.  Any other exception
+in a check becomes a failed ``error:<Type>`` record and the run goes on.
 """
 
 from __future__ import annotations
@@ -78,11 +79,11 @@ class Report:
 
     @property
     def passed(self) -> int:
-        return sum(1 for r in self.records if r.skipped is None and not r.violated)
+        return sum(1 for r in self.records if r.status == "ok")
 
     @property
     def failed(self) -> int:
-        return sum(1 for r in self.records if r.skipped is None and r.violated)
+        return len(self.violations) + len(self.errors)
 
     @property
     def skipped(self) -> int:
@@ -91,6 +92,10 @@ class Report:
     @property
     def violations(self) -> list[VerificationRecord]:
         return [r for r in self.records if r.violated]
+
+    @property
+    def errors(self) -> list[VerificationRecord]:
+        return [r for r in self.records if r.error is not None]
 
     def _record_fields(self, r: VerificationRecord) -> dict:
         return {
@@ -246,25 +251,33 @@ def _instance_tasks(
 
 
 def _run_task(key, thunk) -> list[VerificationRecord]:
+    """Run one task; a cap overrun becomes a skip and any other exception an
+    error record, so one instance can never end the whole run."""
     check, name, prime = key
     try:
         return thunk()
     except CapExceededError as e:
-        return [
-            VerificationRecord(
-                check=check,
-                group=name,
-                prime=prime or None,
-                hypothesis=None,
-                conclusion=None,
-                violated=False,
-                skipped=str(e),
-            )
-        ]
+        skipped, error, witnesses = str(e), None, {}
+    except Exception as e:
+        skipped, error = None, type(e).__name__
+        witnesses = {"error": f"{error}: {e}"}
+    return [
+        VerificationRecord(
+            check=check,
+            group=name,
+            prime=prime or None,
+            hypothesis=None,
+            conclusion=None,
+            violated=False,
+            skipped=skipped,
+            witnesses=witnesses,
+            error=error,
+        )
+    ]
 
 
 def _chain_spec(ng, check_ids, mode, lattice_cap, abort_on_violation) -> tuple:
-    """Picklable description of one group's work (locks don't pickle)."""
+    """Picklable description of one group's work (generator images only)."""
     g = ng.group
     return (
         ng.name,
@@ -321,9 +334,11 @@ def run_corpus(
 ) -> Report:
     """Evaluate the requested checks on every applicable (group, prime).
 
-    Cap overruns are recorded as skips, never as passes.  On a violation
-    the run aborts with a serialized witness (CounterexampleError carries
-    the partial report) unless ``abort_on_violation`` is false.
+    Cap overruns are recorded as skips, never as passes; other exceptions
+    as failed error records.  The first violation, else the first error, is
+    serialized to ``witness_path``.  On a violation the run aborts
+    (CounterexampleError carries the partial report) unless
+    ``abort_on_violation`` is false.
     """
     mode = HypothesisMode(mode)
     check_ids = expand_checks(checks)
@@ -376,13 +391,13 @@ def run_corpus(
         },
         records=records,
     )
-    violations = report.violations
-    if violations:
-        record = violations[0]
+    failures = report.violations + report.errors
+    if failures:
+        record = failures[0]
         if witness_path:
             with open(witness_path, "w", encoding="utf-8") as fh:
                 fh.write(serialize_witness(by_name[record.group], record))
-        if abort_on_violation:
+        if record.violated and abort_on_violation:
             raise CounterexampleError(record, report)
     return report
 

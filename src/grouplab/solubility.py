@@ -1,9 +1,10 @@
 """Solubility-class predicates via chief series.
 
-A chief series is built from the bottom: the canonically first minimal
-normal subgroup of the current quotient is pulled back through the coset
-map, so every factor is a genuine chief factor of the whole group by
-construction.  Factor orders are reported from the top.
+A chief series is built from the bottom on G's own table.  Every minimal
+normal subgroup M of G over a normal N is N∨A, with A the normal closure of
+any conjugacy class in M∖N; so the smallest join N∨A over these closures
+(the normal atoms) is minimal normal over N.  Factor orders are reported
+from the top.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ import numpy as np
 
 from .groups import (
     Group,
+    indices_from_mask,
     is_normal,
     mask_from_indices,
     normal_closure,
-    quotient,
     subgroup_generated,
 )
 from .structure import (
-    minimal_normal_subgroups,
+    _join_subgroup_indices,
+    _normal_atom_masks,
     o_p_prime,
     p_part,
     primes_of,
@@ -39,32 +41,31 @@ class ChiefSeries:
     factor_orders: list[int]
 
 
-def chief_series(G: Group, pick: str = "first") -> ChiefSeries:
-    """Chief series of G; ``pick`` selects which minimal normal subgroup of
-    the running quotient is used ("first" or "last" in canonical order),
-    which by Jordan-Hölder cannot change the factor-order multiset."""
-    key = ("chief", pick)
-    cached = G.cache.get(key)
+def chief_series(G: Group) -> ChiefSeries:
+    """Chief series of G: from N = 1, repeatedly step to the smallest join
+    of N with a normal atom of G, by (order, mask), until G is reached."""
+    cached = G.cache.get("chief")
     if cached is not None:
         return cached
     n = G.order()
-    proj = np.arange(n, dtype=np.int64)  # element index -> current quotient index
-    Q = G
-    bottom_masks: list[int] = [1]
-    while Q.order() > 1:
-        minimals = minimal_normal_subgroups(Q)
-        M = minimals[0] if pick == "first" else minimals[-1]
-        qbits = np.zeros(Q.order(), dtype=bool)
-        qbits[Q.indices_of(M)] = True
-        bottom_masks.append(mask_from_indices(np.nonzero(qbits[proj])[0], n))
-        cm = quotient(Q, M)
-        proj = cm.projection_indices()[proj]
-        Q = cm.quotient
-    chain = [G.subgroup_from_mask(m) for m in reversed(bottom_masks)]
-    orders = [g.order() for g in chain]
-    factors = [orders[i] // orders[i + 1] for i in range(len(orders) - 1)]
+    tbl = G.table(force=True)
+    atoms = [(a, indices_from_mask(a, n)) for a in _normal_atom_masks(G)]
+    cur, cur_idx = 1, np.array([0], dtype=np.int64)
+    chain_idx = [cur_idx]
+    while len(cur_idx) < n:
+        joins = []
+        for a, a_idx in atoms:
+            if a | cur == cur:
+                continue
+            inter = (a & cur).bit_count()
+            j_idx = _join_subgroup_indices(tbl, n, cur_idx, a_idx, inter)
+            joins.append((len(j_idx), mask_from_indices(j_idx, n), j_idx))
+        _, cur, cur_idx = min(joins, key=lambda j: j[:2])
+        chain_idx.insert(0, cur_idx)
+    chain = [G.subgroup_from_indices(idx) for idx in chain_idx]
+    factors = [len(a) // len(b) for a, b in zip(chain_idx, chain_idx[1:])]
     series = ChiefSeries(group=G, chain=chain, factor_orders=factors)
-    G.cache[key] = series
+    G.cache["chief"] = series
     return series
 
 

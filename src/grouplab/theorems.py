@@ -76,6 +76,7 @@ class VerificationRecord:
     skipped: str | None = None
     witnesses: dict = field(default_factory=dict)
     elapsed: float = 0.0
+    error: str | None = None  # exception type name when the check raised
 
     def __post_init__(self):
         if self.skipped is None and self.violated:
@@ -88,6 +89,8 @@ class VerificationRecord:
     def status(self) -> str:
         if self.skipped is not None:
             return f"skipped:{self.skipped}"
+        if self.error is not None:
+            return f"error:{self.error}"
         return "VIOLATED" if self.violated else "ok"
 
 

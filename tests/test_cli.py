@@ -119,3 +119,19 @@ def test_verify_parallel_byte_identical(tmp_path, capsys):
 def test_verify_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--checks", "nonsense")
     assert code == 2
+
+
+def test_verify_error_record_exits_nonzero(tmp_path, capsys, monkeypatch):
+    import grouplab.runner as runner_mod
+
+    def broken_verify_main(G, p, mode=None, group_name="?"):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(runner_mod, "verify_main", broken_verify_main)
+    out = tmp_path / "report.txt"
+    code, _, err = run_cli(
+        capsys, "verify", "--max-order", "4", "--checks", "main", "--out", str(out)
+    )
+    assert code == 1
+    assert "ERROR: main on C2: RuntimeError: boom" in err
+    assert "error:RuntimeError" in out.read_text()

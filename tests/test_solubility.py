@@ -2,11 +2,11 @@ import naive
 from grouplab.corpus import (
     builtin_corpus,
     cyclic,
-    dihedral,
     direct_product,
     quaternion8,
     symmetric,
 )
+from grouplab.perms import Permutation
 from grouplab.solubility import (
     chief_series,
     derived_subgroup,
@@ -38,12 +38,21 @@ def test_chief_series_edge_cases(a5):
     assert chief_series(cyclic(1)).factor_orders == []
 
 
-def test_jordan_holder_factor_multiset():
-    for G in (symmetric(4), dihedral(24), direct_product(symmetric(3), cyclic(4)), quaternion8()):
-        first = chief_series(G, pick="first").factor_orders
-        last = chief_series(G, pick="last").factor_orders
-        assert sorted(first) == sorted(last)
-        assert len(first) == len(last)
+def test_chief_series_against_naive_normal_subgroups():
+    # every chain member is normal and no normal subgroup lies strictly
+    # between neighbours, by the element-list oracle
+    groups = [ng.group for ng in builtin_corpus(32)]
+    groups += [quaternion8(), direct_product(symmetric(3), symmetric(3))]
+    for G in groups:
+        E = naive.closure(G.degree, G.generators)
+        normals = naive.normal_subgroups(G.degree, E)
+        chain = [frozenset(H.elements()) for H in chief_series(G).chain]
+        assert chain[0] == E
+        assert chain[-1] == {Permutation.identity(G.degree)}
+        assert all(H in normals for H in chain)
+        for upper, lower in zip(chain, chain[1:]):
+            assert lower < upper
+            assert not any(lower < N < upper for N in normals)
 
 
 def test_soluble(s4, a5):

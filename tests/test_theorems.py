@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grouplab.corpus import builtin_corpus, cyclic, named_group
+from grouplab.groups import Group
+from grouplab.perms import Permutation
 from grouplab.permutability import is_s_semipermutable
 from grouplab.runner import (
     CounterexampleError,
     expand_checks,
     run_corpus,
 )
+from grouplab.solubility import chief_series
 from grouplab.structure import md_families, primes_of, sylow_subgroup
 from grouplab.theorems import (
     HypothesisMode,
@@ -242,3 +246,58 @@ def test_report_rendering_shapes():
     assert rows[0].get("params")
     assert rows[-1]["total"] == len(lines)
     assert all("elapsed" not in row for row in rows)
+
+
+RELABEL_GROUPS = [named_group(name).group for name in ("S4", "D24", "S3xC4")]
+
+
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_relabelling_invariance(data):
+    # renaming the points (conjugating every generator by one permutation)
+    # gives an isomorphic group, so chief factors and the main check's
+    # hypothesis and conclusion at every prime must not change
+    for G in RELABEL_GROUPS:
+        s = Permutation(data.draw(st.permutations(range(G.degree))))
+        sinv = s.inverse()
+        H = Group(G.degree, [sinv * g * s for g in G.generators])
+        assert chief_series(H).factor_orders == chief_series(G).factor_orders
+        for p in primes_of(G):
+            a, b = verify_main(G, p), verify_main(H, p)
+            assert (a.hypothesis, a.conclusion) == (b.hypothesis, b.conclusion)
+
+
+def test_stray_exception_becomes_error_record(tmp_path, monkeypatch):
+    # a guard AssertionError in one group must not lose the other groups
+    import grouplab.runner as runner_mod
+
+    real_verify_main = runner_mod.verify_main
+
+    def flaky_verify_main(G, p, mode=HypothesisMode.EXISTS, group_name="?"):
+        if group_name == "S3":
+            raise AssertionError("normalizer ascent stalled")
+        return real_verify_main(G, p, mode, group_name=group_name)
+
+    monkeypatch.setattr(runner_mod, "verify_main", flaky_verify_main)
+    corpus = builtin_corpus(6)
+    witness = tmp_path / "witness.txt"
+    report = run_corpus(corpus, checks=["main"], witness_path=str(witness))
+    errors = report.errors
+    assert [(r.group, r.prime) for r in errors] == [("S3", 2), ("S3", 3)]
+    assert all(r.status == "error:AssertionError" for r in errors)
+    assert all(r.skipped is None and not r.violated for r in errors)
+    assert errors[0].witnesses == {
+        "error": "AssertionError: normalizer ascent stalled"
+    }
+    assert report.failed == 2
+    expected = {
+        (ng.name, p)
+        for ng in corpus
+        if ng.name != "S3"
+        for p in primes_of(ng.group)
+    }
+    others = {(r.group, r.prime) for r in report.records if r.group != "S3"}
+    assert others == expected and report.passed == len(expected)
+    assert "error:AssertionError" in report.render("text")
+    content = witness.read_text()
+    assert "normalizer ascent stalled" in content and "name: S3" in content
