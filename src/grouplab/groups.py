@@ -288,8 +288,14 @@ class Group:
 
     # -- subgroup interop ---------------------------------------------------
 
-    def indices_of(self, sub: "Group") -> np.ndarray:
-        """Sorted indices of a subgroup's elements in this group's index."""
+    def indices_of(self, sub: "Group | int") -> np.ndarray:
+        """Sorted indices of a subgroup's elements in this group's index.
+
+        An ``int`` is a mask over this index already (here and in
+        :meth:`mask_of`, the one place where the two subgroup forms meet).
+        """
+        if isinstance(sub, int):
+            return indices_from_mask(sub, self.order())
         self._ensure_index()
         idx = np.empty(sub.order(), dtype=np.int64)
         for k, p in enumerate(sub.elements()):
@@ -300,7 +306,9 @@ class Group:
         idx.sort()
         return idx
 
-    def mask_of(self, sub: "Group") -> int:
+    def mask_of(self, sub: "Group | int") -> int:
+        if isinstance(sub, int):
+            return sub
         return mask_from_indices(self.indices_of(sub), self.order())
 
     def subgroup_from_indices(self, idx: np.ndarray) -> "Group":
@@ -578,27 +586,39 @@ def centralizer(G: Group, H: Group) -> Group:
     return Group(G.degree, out, G.enum_cap, G.table_cap, _known_elements=tuple(out))
 
 
+def _normalizer_mask(G: Group, mask: int) -> int:
+    """Mask of N_G(H) for H given by its mask over G's index.
+
+    x normalizes H iff xH = Hx.  With the table the equivalent test
+    x^-1 H x ⊆ H (conjugation is injective) runs on blocks of x, each
+    gathering at most 2^18 conjugates so memory stays bounded.
+    """
+    n = G.order()
+    hidx = indices_from_mask(mask, n)
+    tbl = G.table()
+    if tbl is None:
+        elems = G.elements()
+        H = [elems[int(i)] for i in hidx]
+        keep = [
+            i for i, x in enumerate(elems) if {x * h for h in H} == {h * x for h in H}
+        ]
+        return mask_from_indices(keep, n)
+    inside = np.zeros(n, dtype=bool)
+    inside[hidx] = True
+    inv = G.inverse_indices()
+    keep = np.empty(n, dtype=bool)
+    step = max(1, (1 << 18) // len(hidx))
+    for lo in range(0, n, step):
+        xs = np.arange(lo, min(lo + step, n))
+        conj = tbl[tbl[inv[xs][:, None], hidx], xs[:, None]]
+        keep[lo : lo + step] = inside[conj].all(axis=1)
+    return mask_from_indices(np.nonzero(keep)[0], n)
+
+
 def normalizer(G: Group, H: Group) -> Group:
     """Elements g of G with H^g = H, by exhaustive scan."""
     _require_subgroup(G, H)
-    tbl = G.table()
-    if tbl is not None:
-        hidx = G.indices_of(H)
-        inv = G.inverse_indices()
-        keep = []
-        for x in range(G.order()):
-            conj = tbl[tbl[int(inv[x])][hidx], x]
-            conj.sort()
-            if np.array_equal(conj, hidx):
-                keep.append(x)
-        return G.subgroup_from_indices(np.array(keep, dtype=np.int64))
-    hset = frozenset(H.elements())
-    out = []
-    for x in G.elements():
-        xinv = x.inverse()
-        if all(xinv * h * x in hset for h in H.elements()):
-            out.append(x)
-    return Group(G.degree, out, G.enum_cap, G.table_cap, _known_elements=tuple(sorted(out)))
+    return G.subgroup_from_mask(_normalizer_mask(G, G.mask_of(H)))
 
 
 def center(G: Group) -> Group:
@@ -622,17 +642,18 @@ def intersection(G: Group, H: Group, K: Group) -> Group:
     return Group(G.degree, gens, G.enum_cap, G.table_cap, _known_elements=members)
 
 
-def is_subnormal(G: Group, H: Group) -> bool:
-    """True iff the ascending normalizer chain from H reaches G."""
-    _require_subgroup(G, H)
-    current = H
-    while True:
-        if current.order() == G.order():
-            return True
-        nxt = normalizer(G, current)
-        if nxt.order() == current.order():
+def is_subnormal(G: Group, H: Group | int) -> bool:
+    """True iff the ascending normalizer chain from H reaches G.  H may be
+    a mask over G's index; the chain is climbed on masks."""
+    if isinstance(H, Group):
+        _require_subgroup(G, H)
+    current = G.mask_of(H)
+    while current.bit_count() < G.order():
+        nxt = _normalizer_mask(G, current)
+        if nxt == current:
             return False
         current = nxt
+    return True
 
 
 @dataclass

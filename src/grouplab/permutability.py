@@ -4,6 +4,11 @@
 order shortcut; the independent "is HK closed" computation is cross-asserted
 against the equality check on every call, as a guard against engine bugs.
 
+A subgroup argument is either a :class:`Group` or its bitmask over the
+parent's element index (``G.mask_of(H)``); the predicates work on masks
+throughout, comparing against the Sylow masks of ``SylowSystem.masks`` and
+the lattice masks, so no subgroup ``Group`` is built on their account.
+
 Predicate results are cached per (parent, element-set mask): the theorem
 harness evaluates the same maximal subgroups many times.  Caching is
 transparent because every predicate is a pure function of the two element
@@ -19,7 +24,7 @@ import numpy as np
 
 from .errors import DEFAULT_LATTICE_CAP, LatticeCapError
 from .groups import ElementSet, Group, mask_from_indices
-from .structure import all_subgroups, all_sylow_subgroups, primes_of
+from .structure import all_sylow_subgroups, lattice_masks, primes_of
 
 
 @dataclass
@@ -33,8 +38,9 @@ class ProductSetResult:
     cardinality: int
 
 
-def product_set(G: Group, H: Group, K: Group) -> ProductSetResult:
-    """Exact product sets {hk} and {kh} inside G.
+def product_set(G: Group, H: Group | int, K: Group | int) -> ProductSetResult:
+    """Exact product sets {hk} and {kh} inside G; H and K are subgroups of G
+    or their masks over G's index.
 
     ``equal`` and ``is_subgroup`` are computed independently and must agree
     (HK = KH iff HK is a subgroup); |HK| = |H||K|/|H ∩ K| is asserted.
@@ -49,16 +55,15 @@ def product_set(G: Group, H: Group, K: Group) -> ProductSetResult:
         hk_mask = mask_from_indices(hk_idx, n)
         kh_mask = mask_from_indices(kh_idx, n)
     else:
-        helems = H.elements()
-        kelems = K.elements()
+        elems = G.elements()
+        helems = [elems[int(i)] for i in hidx]
+        kelems = [elems[int(i)] for i in kidx]
         hk_set = {G.element_index(h * k) for h in helems for k in kelems}
         kh_set = {G.element_index(k * h) for h in helems for k in kelems}
         hk_mask = mask_from_indices(np.fromiter(hk_set, dtype=np.int64), n)
         kh_mask = mask_from_indices(np.fromiter(kh_set, dtype=np.int64), n)
-    hmask = mask_from_indices(hidx, n)
-    kmask = mask_from_indices(kidx, n)
-    inter = (hmask & kmask).bit_count()
-    expected = H.order() * K.order() // inter
+    inter = (mask_from_indices(hidx, n) & mask_from_indices(kidx, n)).bit_count()
+    expected = len(hidx) * len(kidx) // inter
     if hk_mask.bit_count() != expected or kh_mask.bit_count() != expected:
         raise AssertionError("|HK| != |H||K|/|H∩K|: product set engine bug")
     hk = ElementSet(G, hk_mask)
@@ -72,47 +77,44 @@ def product_set(G: Group, H: Group, K: Group) -> ProductSetResult:
     )
 
 
-def _cached_predicate(G: Group, tag: str, H: Group, fn) -> bool:
-    key = (tag, G.mask_of(H))
+def _cached_predicate(G: Group, tag: str, H: Group | int, fn) -> bool:
+    """fn(mask of H), cached in G under (tag, mask)."""
+    mask = G.mask_of(H)
+    key = (tag, mask)
     hit = G.cache.get(key)
     if hit is None:
-        hit = fn()
+        hit = fn(mask)
         G.cache[key] = hit
     return hit
 
 
-def is_s_permutable(G: Group, H: Group) -> bool:
+def _permutes_with_sylows(G: Group, mask: int, coprime_only: bool) -> bool:
+    h_order = mask.bit_count()
+    return all(
+        product_set(G, mask, Q).equal
+        for q in primes_of(G)
+        if not (coprime_only and h_order % q == 0)
+        for Q in all_sylow_subgroups(G, q).masks
+    )
+
+
+def is_s_permutable(G: Group, H: Group | int) -> bool:
     """H permutes with every Sylow q-subgroup of G, for every prime q."""
-
-    def compute() -> bool:
-        for q in primes_of(G):
-            for Q in all_sylow_subgroups(G, q).all:
-                if not product_set(G, H, Q).equal:
-                    return False
-        return True
-
-    return _cached_predicate(G, "s-perm", H, compute)
+    return _cached_predicate(
+        G, "s-perm", H, lambda m: _permutes_with_sylows(G, m, False)
+    )
 
 
-def is_s_semipermutable(G: Group, H: Group) -> bool:
+def is_s_semipermutable(G: Group, H: Group | int) -> bool:
     """H permutes with every Sylow q-subgroup for every prime q not
     dividing |H|."""
-
-    def compute() -> bool:
-        h_order = H.order()
-        for q in primes_of(G):
-            if h_order % q == 0:
-                continue
-            for Q in all_sylow_subgroups(G, q).all:
-                if not product_set(G, H, Q).equal:
-                    return False
-        return True
-
-    return _cached_predicate(G, "s-semiperm", H, compute)
+    return _cached_predicate(
+        G, "s-semiperm", H, lambda m: _permutes_with_sylows(G, m, True)
+    )
 
 
 def is_semipermutable(
-    G: Group, H: Group, lattice_cap: int = DEFAULT_LATTICE_CAP
+    G: Group, H: Group | int, lattice_cap: int = DEFAULT_LATTICE_CAP
 ) -> bool:
     """H permutes with every subgroup of coprime order.
 
@@ -128,11 +130,11 @@ def is_semipermutable(
             size=G.order(),
         )
 
-    def compute() -> bool:
-        h_order = H.order()
-        for K in all_subgroups(G, lattice_cap):
-            if math.gcd(h_order, K.order()) == 1 and not product_set(G, H, K).equal:
-                return False
-        return True
+    def compute(mask: int) -> bool:
+        return all(
+            product_set(G, mask, K).equal
+            for K in lattice_masks(G, lattice_cap)
+            if math.gcd(mask.bit_count(), K.bit_count()) == 1
+        )
 
     return _cached_predicate(G, "semiperm", H, compute)

@@ -15,7 +15,9 @@ Phi(P) corresponds to a linearly independent set of d linear functionals.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 from typing import Iterator
 
@@ -76,12 +78,14 @@ def primes_of(G: Group) -> list[int]:
 
 @dataclass
 class SylowSystem:
-    """One conjugacy class of Sylow p-subgroups."""
+    """One conjugacy class of Sylow p-subgroups; ``masks[i]`` is the mask
+    of ``all[i]`` over the parent's index."""
 
     parent: Group
     prime: int
     representative: Group
     all: list[Group]
+    masks: list[int]
 
     @property
     def count(self) -> int:
@@ -129,7 +133,8 @@ def all_sylow_subgroups(G: Group, p: int) -> SylowSystem:
         return cached
     rep = sylow_subgroup(G, p)
     if rep.order() == G.order() or rep.is_trivial:
-        system = SylowSystem(G, p, rep, [rep])
+        # 1 and G are the index prefixes of lengths 1 and |G|
+        system = SylowSystem(G, p, rep, [rep], [(1 << rep.order()) - 1])
         G.cache[key] = system
         return system
     tbl = G.table()
@@ -148,9 +153,8 @@ def all_sylow_subgroups(G: Group, p: int) -> SylowSystem:
                 if m not in seen_masks:
                     seen_masks[m] = conj
                     queue.append(conj)
-        groups = [
-            G.subgroup_from_indices(seen_masks[m]) for m in sorted(seen_masks)
-        ]
+        masks = sorted(seen_masks)
+        groups = [G.subgroup_from_indices(seen_masks[m]) for m in masks]
     else:
         seen = {}
         queue = [rep]
@@ -171,7 +175,8 @@ def all_sylow_subgroups(G: Group, p: int) -> SylowSystem:
                     seen[k] = Hg
                     queue.append(Hg)
         groups = [seen[k] for k in sorted(seen)]
-    system = SylowSystem(G, p, rep, groups)
+        masks = [G.mask_of(H) for H in groups]
+    system = SylowSystem(G, p, rep, groups, masks)
     G.cache[key] = system
     return system
 
@@ -571,11 +576,7 @@ def o_p(G: Group, p: int) -> Group:
     system = all_sylow_subgroups(G, p)
     if system.representative.is_trivial:
         return system.representative
-    mask = None
-    for S in system.all:
-        m = G.mask_of(S)
-        mask = m if mask is None else mask & m
-    return G.subgroup_from_mask(mask)
+    return G.subgroup_from_mask(reduce(operator.and_, system.masks))
 
 
 def o_p_prime(G: Group, p: int) -> Group:

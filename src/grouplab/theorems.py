@@ -16,6 +16,11 @@ Both shortcuts are differential-tested against direct family enumeration.
 Lemma suites enumerate their quantified instances from the subgroup
 lattice.  Each part stops at a fixed deterministic instance budget and
 flags the record as sampled when it does; counts are always reported.
+Subgroups are the lattice's bitmasks over G's element index throughout; a
+subgroup becomes a :class:`Group` only where it acts as a group in its own
+right (the parent of a restriction, the kernel of a quotient, the input of
+a normal closure).  An instance is a (holds, detail thunk) pair, and only
+the first counterexample's detail text is ever built.
 """
 
 from __future__ import annotations
@@ -24,9 +29,22 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
+from typing import Callable
+
+import numpy as np
 
 from .errors import DEFAULT_LATTICE_CAP, LatticeCapError
-from .groups import Group, is_normal, is_subnormal, normal_closure, normalizer, quotient
+from .groups import (
+    CosetMap,
+    Group,
+    _normalizer_mask,
+    indices_from_mask,
+    is_subnormal,
+    mask_from_indices,
+    normal_closure,
+    normalizer,
+    quotient,
+)
 from .permutability import is_s_permutable, is_s_semipermutable, product_set
 from .solubility import (
     is_p_nilpotent,
@@ -218,48 +236,97 @@ def _part_record(
     check: str,
     group_name: str,
     prime: int | None,
-    instances: list[tuple[bool, bool, dict]],
+    instances: list[tuple[bool, Callable[[], dict]]],
     sampled: bool,
     t0: float,
     extra: dict | None = None,
 ) -> VerificationRecord:
-    """Aggregate per-instance (premise, consequence, detail) triples."""
-    held = [x for x in instances if x[0]]
-    bad = [x for x in held if not x[1]]
+    """Aggregate per-instance (holds, detail thunk) pairs.
+
+    Every instance's premise holds by construction; only the first
+    counterexample's detail is built.
+    """
+    bad = next((detail for holds, detail in instances if not holds), None)
     wit = {
         "instances": len(instances),
-        "premise_held": len(held),
+        "premise_held": len(instances),
         "sampled": sampled,
     }
     if extra:
         wit.update(extra)
-    if bad:
-        wit["counterexample"] = bad[0][2]
+    if bad is not None:
+        wit["counterexample"] = bad()
     return VerificationRecord(
         check=check,
         group=group_name,
         prime=prime,
-        hypothesis=bool(held),
-        conclusion=not bad,
-        violated=bool(held) and bool(bad),
+        hypothesis=bool(instances),
+        conclusion=bad is None,
+        violated=bool(instances) and bad is not None,
         witnesses=wit,
         elapsed=time.perf_counter() - t0,
     )
 
 
-def _lattice_with_masks(G: Group, lattice_cap: int) -> list[tuple[int, Group]]:
-    masks = lattice_masks(G, lattice_cap)
-    groups = all_subgroups(G, lattice_cap)
-    return list(zip(masks, groups))
+def _cached(G: Group, key, build):
+    hit = G.cache.get(key)
+    if hit is None:
+        hit = G.cache[key] = build()
+    return hit
 
 
 def _standalone(G: Group, mask: int) -> Group:
-    key = ("standalone", mask)
-    sub = G.cache.get(key)
-    if sub is None:
-        sub = G.subgroup_from_mask(mask)
-        G.cache[key] = sub
-    return sub
+    return _cached(G, ("standalone", mask), lambda: G.subgroup_from_mask(mask))
+
+
+def _detail(G: Group, subgroups: dict[str, int], **plain) -> Callable[[], dict]:
+    """Thunk for an instance's detail: the named subgroup masks become
+    generator text only when the thunk is called."""
+    return lambda: {
+        **{k: _fmt_group(_standalone(G, m)) for k, m in subgroups.items()},
+        **plain,
+    }
+
+
+def _quotient(G: Group, nm: int) -> CosetMap:
+    return _cached(G, ("quotient", nm), lambda: quotient(G, _standalone(G, nm)))
+
+
+def _p_subgroup_prime(G: Group, mask: int) -> int | None:
+    """p when the subgroup is a nontrivial p-group, else None."""
+    n = mask.bit_count()
+    return next((p for p in primes_of(G) if n > 1 and n == p_part(n, p)), None)
+
+
+def _mask_within(G: Group, outer: int, inner: int) -> int:
+    """Mask of a subgroup over the element index of an overgroup of it.
+    The overgroup's sorted elements are G's elements at its indices, in
+    order, so the positions come from a search in those indices."""
+    o_idx = indices_from_mask(outer, G.order())
+    pos = np.searchsorted(o_idx, indices_from_mask(inner, G.order()))
+    return mask_from_indices(pos, len(o_idx))
+
+
+def _restriction_part(
+    G: Group, lat: list[int], masks: list[int], predicate
+) -> tuple[list, bool]:
+    """predicate(K, H in K) for the first RESTRICTION_SAMPLES proper
+    overgroups K of each H."""
+    inst, sampled = [], False
+    for m in masks:
+        if len(inst) >= PART_BUDGET:
+            sampled = True
+            break
+        picked = 0
+        for km in lat:
+            if km != m and km | m == km:
+                holds = predicate(_standalone(G, km), _mask_within(G, km, m))
+                inst.append((holds, _detail(G, {"subgroup": m, "intermediate": km})))
+                picked += 1
+                if picked >= RESTRICTION_SAMPLES:
+                    sampled = True
+                    break
+    return inst, sampled
 
 
 def verify_lemma_2_1(
@@ -267,57 +334,34 @@ def verify_lemma_2_1(
 ) -> list[VerificationRecord]:
     """The six closure properties of permuting-with-all-Sylows subgroups."""
     t0 = time.perf_counter()
-    lat = _lattice_with_masks(G, lattice_cap)
-    sp = [(m, H) for m, H in lat if is_s_permutable(G, H)]
+    lat = lattice_masks(G, lattice_cap)
+    full = (1 << G.order()) - 1
+    sp = [m for m in lat if is_s_permutable(G, m)]
     records = []
 
     # (1) s-permutable implies subnormal
-    inst, sampled = [], False
-    for m, H in sp:
-        if len(inst) >= PART_BUDGET:
-            sampled = True
-            break
-        inst.append(
-            (True, is_subnormal(G, H), {"subgroup": _fmt_group(H)})
-        )
+    inst = [
+        (is_subnormal(G, m), _detail(G, {"subgroup": m})) for m in sp[:PART_BUDGET]
+    ]
+    sampled = len(sp) > PART_BUDGET
     records.append(
         _part_record("lemma-2.1.1", group_name, None, inst, sampled, t0)
     )
 
     # (2) restriction to intermediate subgroups, sampled
     t0 = time.perf_counter()
-    inst, sampled = [], False
-    for m, H in sp:
-        if len(inst) >= PART_BUDGET:
-            sampled = True
-            break
-        picked = 0
-        for km, K in lat:
-            if km != m and km | m == km:
-                sub = _standalone(G, km)
-                inst.append(
-                    (
-                        True,
-                        is_s_permutable(sub, H),
-                        {"subgroup": _fmt_group(H), "intermediate": _fmt_group(K)},
-                    )
-                )
-                picked += 1
-                if picked >= RESTRICTION_SAMPLES:
-                    sampled = True
-                    break
+    inst, sampled = _restriction_part(G, lat, sp, is_s_permutable)
     records.append(
         _part_record("lemma-2.1.2", group_name, None, inst, sampled, t0)
     )
 
     # (3) s-permutable Hall subgroups are normal
     t0 = time.perf_counter()
-    inst = []
-    for m, H in sp:
-        if gcd(H.order(), G.order() // H.order()) == 1:
-            inst.append(
-                (True, is_normal(G, H), {"subgroup": _fmt_group(H)})
-            )
+    inst = [
+        (_normalizer_mask(G, m) == full, _detail(G, {"subgroup": m}))
+        for m in sp
+        if gcd(m.bit_count(), G.order() // m.bit_count()) == 1
+    ]
     records.append(
         _part_record("lemma-2.1.3", group_name, None, inst, False, t0)
     )
@@ -325,38 +369,30 @@ def verify_lemma_2_1(
     # (4) for normal K <= H: H s-permutable iff H/K s-permutable in G/K
     t0 = time.perf_counter()
     inst, sampled = [], False
-    sp_masks = {m for m, _ in sp}
+    sp_masks = set(sp)
     for nm in normal_subgroup_masks(G):
         if sampled:
             break
-        if nm == 1 or nm == (1 << G.order()) - 1:
+        if nm == 1 or nm == full:
             # kernel 1 and kernel G are tautological transfers
             continue
-        cm = G.cache.get(("quotient", nm))
-        if cm is None:
-            cm = quotient(G, G.subgroup_from_mask(nm))
-            G.cache[("quotient", nm)] = cm
-        for m, H in lat:
+        cm = _quotient(G, nm)
+        for m in lat:
             if m | nm != m:  # requires K <= H
                 continue
             if len(inst) >= PART_BUDGET:
                 sampled = True
                 break
-            image = cm.quotient.subgroup_from_mask(cm.image_mask(m))
             lhs = m in sp_masks
-            rhs = is_s_permutable(cm.quotient, image)
-            inst.append(
-                (
-                    True,
-                    lhs == rhs,
-                    {
-                        "subgroup": _fmt_group(H),
-                        "kernel_order": nm.bit_count(),
-                        "in_group": lhs,
-                        "in_quotient": rhs,
-                    },
-                )
+            rhs = is_s_permutable(cm.quotient, cm.image_mask(m))
+            detail = _detail(
+                G,
+                {"subgroup": m},
+                kernel_order=nm.bit_count(),
+                in_group=lhs,
+                in_quotient=rhs,
             )
+            inst.append((lhs == rhs, detail))
     records.append(
         _part_record("lemma-2.1.4", group_name, None, inst, sampled, t0)
     )
@@ -371,18 +407,9 @@ def verify_lemma_2_1(
             if len(inst) >= PART_BUDGET:
                 sampled = True
                 break
-            inter = _standalone(G, sp[i][0] & sp[j][0])
-            inst.append(
-                (
-                    True,
-                    is_s_permutable(G, inter),
-                    {
-                        "first": _fmt_group(sp[i][1]),
-                        "second": _fmt_group(sp[j][1]),
-                        "intersection": _fmt_group(inter),
-                    },
-                )
-            )
+            a, b = sp[i], sp[j]
+            parts = {"first": a, "second": b, "intersection": a & b}
+            inst.append((is_s_permutable(G, a & b), _detail(G, parts)))
     records.append(
         _part_record("lemma-2.1.5", group_name, None, inst, sampled, t0)
     )
@@ -390,57 +417,39 @@ def verify_lemma_2_1(
     # (6) p-subgroups: s-permutable iff the normalizer contains the p-residual
     t0 = time.perf_counter()
     inst, sampled = [], False
-    residuals = {p: p_residual(G, p) for p in primes_of(G)}
-    res_masks = {p: G.mask_of(r) for p, r in residuals.items()}
-    for m, H in lat:
-        if sampled:
-            break
-        n = H.order()
-        if n == 1:
+    res_masks = {p: G.mask_of(p_residual(G, p)) for p in primes_of(G)}
+    for m in lat:
+        p = _p_subgroup_prime(G, m)
+        if p is None:
             continue
-        ps = [p for p in primes_of(G) if n == p_part(n, p)]
-        if not ps:
-            continue
-        p = ps[0]
         if len(inst) >= PART_BUDGET:
             sampled = True
             break
-        nz_mask = G.mask_of(normalizer(G, H))
-        lhs = is_s_permutable(G, H)
+        nz_mask = _normalizer_mask(G, m)
+        lhs = is_s_permutable(G, m)
         rhs = res_masks[p] | nz_mask == nz_mask
-        inst.append(
-            (
-                True,
-                lhs == rhs,
-                {
-                    "subgroup": _fmt_group(H),
-                    "prime": p,
-                    "s_permutable": lhs,
-                    "normalizer_contains_residual": rhs,
-                },
-            )
+        detail = _detail(
+            G,
+            {"subgroup": m},
+            prime=p,
+            s_permutable=lhs,
+            normalizer_contains_residual=rhs,
         )
+        inst.append((lhs == rhs, detail))
     records.append(
         _part_record("lemma-2.1.6", group_name, None, inst, sampled, t0)
     )
     return records
 
 
-def _ssp_p_subgroups(
-    G: Group, lattice_cap: int
-) -> list[tuple[int, int, Group]]:
-    """(prime, mask, subgroup) for every nontrivial s-semipermutable
-    p-subgroup in the lattice."""
+def _ssp_p_subgroups(G: Group, lattice_cap: int) -> list[tuple[int, int]]:
+    """(prime, mask) for every nontrivial s-semipermutable p-subgroup in
+    the lattice."""
     out = []
-    for m, H in _lattice_with_masks(G, lattice_cap):
-        n = H.order()
-        if n == 1:
-            continue
-        ps = [p for p in primes_of(G) if n == p_part(n, p)]
-        if not ps:
-            continue
-        if is_s_semipermutable(G, H):
-            out.append((ps[0], m, H))
+    for m in lattice_masks(G, lattice_cap):
+        p = _p_subgroup_prime(G, m)
+        if p is not None and is_s_semipermutable(G, m):
+            out.append((p, m))
     return out
 
 
@@ -449,32 +458,15 @@ def verify_lemma_2_2(
 ) -> list[VerificationRecord]:
     """Closure properties of s-semipermutable p-subgroups."""
     t0 = time.perf_counter()
-    lat = _lattice_with_masks(G, lattice_cap)
+    lat = lattice_masks(G, lattice_cap)
     ssp = _ssp_p_subgroups(G, lattice_cap)
-    separation = sum(1 for _, __, H in ssp if not is_s_permutable(G, H))
+    separation = sum(1 for _, m in ssp if not is_s_permutable(G, m))
     records = []
 
     # (1) restriction to intermediate subgroups, sampled
-    inst, sampled = [], False
-    for p, m, H in ssp:
-        if len(inst) >= PART_BUDGET:
-            sampled = True
-            break
-        picked = 0
-        for km, K in lat:
-            if km != m and km | m == km:
-                sub = _standalone(G, km)
-                inst.append(
-                    (
-                        True,
-                        is_s_semipermutable(sub, H),
-                        {"subgroup": _fmt_group(H), "intermediate": _fmt_group(K)},
-                    )
-                )
-                picked += 1
-                if picked >= RESTRICTION_SAMPLES:
-                    sampled = True
-                    break
+    inst, sampled = _restriction_part(
+        G, lat, [m for _, m in ssp], is_s_semipermutable
+    )
     records.append(
         _part_record(
             "lemma-2.2.1",
@@ -495,26 +487,19 @@ def verify_lemma_2_2(
             break
         if nm == 1 or nm == (1 << G.order()) - 1:
             continue
-        cm = G.cache.get(("quotient", nm))
-        if cm is None:
-            cm = quotient(G, G.subgroup_from_mask(nm))
-            G.cache[("quotient", nm)] = cm
-        for p, m, H in ssp:
+        cm = _quotient(G, nm)
+        for p, m in ssp:
             if len(inst) >= PART_BUDGET:
                 sampled = True
                 break
-            image = cm.quotient.subgroup_from_mask(cm.image_mask(m))
-            inst.append(
-                (
-                    True,
-                    is_s_semipermutable(cm.quotient, image),
-                    {
-                        "subgroup": _fmt_group(H),
-                        "kernel_order": nm.bit_count(),
-                        "image_order": image.order(),
-                    },
-                )
+            image = cm.image_mask(m)
+            detail = _detail(
+                G,
+                {"subgroup": m},
+                kernel_order=nm.bit_count(),
+                image_order=image.bit_count(),
             )
+            inst.append((is_s_semipermutable(cm.quotient, image), detail))
     records.append(
         _part_record("lemma-2.2.2", group_name, None, inst, sampled, t0)
     )
@@ -523,19 +508,13 @@ def verify_lemma_2_2(
     t0 = time.perf_counter()
     inst, sampled = [], False
     cores = {p: G.mask_of(o_p(G, p)) for p in primes_of(G)}
-    for p, m, H in ssp:
+    for p, m in ssp:
         if len(inst) >= PART_BUDGET:
             sampled = True
             break
         if m | cores[p] != cores[p]:
             continue
-        inst.append(
-            (
-                True,
-                is_s_permutable(G, H),
-                {"subgroup": _fmt_group(H), "prime": p},
-            )
-        )
+        inst.append((is_s_permutable(G, m), _detail(G, {"subgroup": m}, prime=p)))
     records.append(
         _part_record("lemma-2.2.3", group_name, None, inst, sampled, t0)
     )
@@ -546,22 +525,13 @@ def verify_lemma_2_2(
     for nm in normal_subgroup_masks(G):
         if sampled:
             break
-        for p, m, H in ssp:
+        for p, m in ssp:
             if len(inst) >= PART_BUDGET:
                 sampled = True
                 break
-            inter = _standalone(G, m & nm)
-            inst.append(
-                (
-                    True,
-                    is_s_semipermutable(G, inter),
-                    {
-                        "subgroup": _fmt_group(H),
-                        "normal_order": nm.bit_count(),
-                        "intersection": _fmt_group(inter),
-                    },
-                )
-            )
+            parts = {"subgroup": m, "intersection": m & nm}
+            detail = _detail(G, parts, normal_order=nm.bit_count())
+            inst.append((is_s_semipermutable(G, m & nm), detail))
     records.append(
         _part_record("lemma-2.2.4", group_name, None, inst, sampled, t0)
     )
@@ -580,38 +550,32 @@ def verify_lemma_2_3(
     t0 = time.perf_counter()
     inst, sampled = [], False
     try:
-        candidates = [(m, H) for p, m, H in _ssp_p_subgroups(G, lattice_cap)]
+        candidates = [(m, None) for _, m in _ssp_p_subgroups(G, lattice_cap)]
     except LatticeCapError:
         sampled = True
-        candidates = []
-        seen: set[int] = set()
+        found: dict[int, Group] = {}
         for p in primes_of(G):
             P = all_sylow_subgroups(G, p).representative
             for S in all_subgroups(P, lattice_cap):
-                if S.order() == 1:
-                    continue
                 m = G.mask_of(S)
-                if m in seen:
-                    continue
-                seen.add(m)
-                if is_s_semipermutable(G, S):
-                    candidates.append((m, S))
-        candidates.sort(key=lambda t: (t[1].order(), t[0]))
+                if S.order() > 1 and m not in found and is_s_semipermutable(G, m):
+                    found[m] = S
+        candidates = sorted(found.items(), key=lambda t: (t[0].bit_count(), t[0]))
     for m, H in candidates:
         if len(inst) >= PART_BUDGET:
             sampled = True
             break
+        H = _standalone(G, m) if H is None else H
         closure = normal_closure(G, H)
         key = ("closure_soluble", G.mask_of(closure))
-        ok = G.cache.get(key)
-        if ok is None:
-            ok = is_soluble(closure)
-            G.cache[key] = ok
+        ok = _cached(G, key, lambda: is_soluble(closure))
         inst.append(
             (
-                True,
                 ok,
-                {"subgroup": _fmt_group(H), "closure_order": closure.order()},
+                lambda H=H, c=closure.order(): {
+                    "subgroup": _fmt_group(H),
+                    "closure_order": c,
+                },
             )
         )
     return [_part_record("lemma-2.3", group_name, None, inst, sampled, t0)]
@@ -636,32 +600,30 @@ def verify_lemma_2_4(
 ) -> list[VerificationRecord]:
     """Complements of coprime abelian normal subgroups lift to the group."""
     t0 = time.perf_counter()
-    lat = _lattice_with_masks(G, lattice_cap)
-    full = (1 << G.order()) - 1
+    lat = lattice_masks(G, lattice_cap)
+    tbl = G.table(force=True)
+    n = G.order()
+    full = (1 << n) - 1
     inst, sampled = [], False
     for nm in normal_subgroup_masks(G):
         if sampled or nm == 1:
             continue
-        N = _standalone(G, nm)
-        if not all(a * b == b * a for a in N.generators for b in N.generators):
+        nidx = indices_from_mask(nm, n)
+        block = tbl[np.ix_(nidx, nidx)]
+        if not (block == block.T).all():  # N is not abelian
             continue
-        for mm, M in lat:
+        for mm in lat:
             if len(inst) >= PART_BUDGET:
                 sampled = True
                 break
             if nm | mm != mm:
                 continue
-            if gcd(N.order(), G.order() // M.order()) != 1:
+            if gcd(nm.bit_count(), n // mm.bit_count()) != 1:
                 continue
             if not _complemented_within(G, mm, nm, lattice_cap):
                 continue
-            inst.append(
-                (
-                    True,
-                    _complemented_within(G, full, nm, lattice_cap),
-                    {"normal": _fmt_group(N), "intermediate": _fmt_group(M)},
-                )
-            )
+            holds = _complemented_within(G, full, nm, lattice_cap)
+            inst.append((holds, _detail(G, {"normal": nm, "intermediate": mm})))
     return [_part_record("lemma-2.4", group_name, None, inst, sampled, t0)]
 
 
@@ -782,8 +744,7 @@ def verify_corollary_4_3(
     t0 = time.perf_counter()
     P = sylow_subgroup(G, p)
     NP = normalizer(G, P)
-    NP_std = G.subgroup_from_mask(G.mask_of(NP))
-    normalizer_nilp = is_p_nilpotent(NP_std, p)
+    normalizer_nilp = is_p_nilpotent(NP, p)
     hyp_family, hw = main_hypothesis(G, p, mode)
     hyp = normalizer_nilp and hyp_family
     concl = is_p_nilpotent(G, p)

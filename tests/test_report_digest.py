@@ -1,0 +1,24 @@
+"""Rendered reports of fixed corpora are pinned by digest.
+
+Reports carry no timing, so a refactor that keeps every answer and every
+witness leaves these digests unchanged.  A change that alters a report on
+purpose must say why and update the digest.
+"""
+
+import hashlib
+
+import pytest
+
+from grouplab.corpus import builtin_corpus
+from grouplab.runner import run_corpus
+
+DIGESTS = {
+    (24, "lemmas"): "1508cb01c7b73783213499cfc791c3c3aabe59fd6f68398a428665d7794890c6",
+    (60, "main"): "b9e0b2cde02db91ecd589734d9f12b4460c4eacfda54e73b4e83b74cc62ddc72",
+}
+
+
+@pytest.mark.parametrize("max_order,check", sorted(DIGESTS))
+def test_rendered_report_digest(max_order, check):
+    text = run_corpus(builtin_corpus(max_order), [check]).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[max_order, check]
