@@ -7,6 +7,15 @@ list is only materialized for groups whose order is at most the enumeration
 cap; the multiplication table additionally requires the order to be at most
 the table cap.
 
+Element data are NumPy arrays.  The element matrix (one row of images per
+element, rows in canonical order) is the set of products of the
+stabilizer-chain transversals; :class:`Permutation` objects are made from
+its rows only for callers of :meth:`Group.elements`.  An element is fixed
+by its images of a base, so the element index looks elements up by those
+images, and the multiplication table and the inverses are built by one
+vectorised lookup per block of products.  A subgroup made from a parent's
+element indices takes the parent's matrix rows.
+
 Element sets of subgroups are manipulated as bitmasks over the parent
 group's canonical element index (elements sorted lexicographically by image
 array, so index 0 is always the identity).
@@ -28,6 +37,9 @@ from .errors import (
     NotNormalError,
 )
 from .perms import Permutation
+
+_BLOCK = 1 << 16
+"""Most products looked up at once while building a table."""
 
 
 class _Level:
@@ -138,6 +150,7 @@ class Group:
         enum_cap: int = DEFAULT_ENUM_CAP,
         table_cap: int = DEFAULT_TABLE_CAP,
         _known_elements: tuple[Permutation, ...] | None = None,
+        _known_emat: np.ndarray | None = None,
     ):
         if degree < 1:
             raise ValueError("degree must be positive")
@@ -160,10 +173,11 @@ class Group:
         self._levels: list[_Level] | None = None
         self._order: int | None = None
         self._elements: tuple[Permutation, ...] | None = _known_elements
+        self._emat: np.ndarray | None = _known_emat
         if _known_elements is not None:
             self._order = len(_known_elements)
-        self._index: dict[tuple[int, ...], int] | None = None
-        self._emat: np.ndarray | None = None
+        self._base: np.ndarray | None = None
+        self._keys: list[np.ndarray] | None = None
         self._table: np.ndarray | None = None
         self._inv_idx: np.ndarray | None = None
         self.cache: dict = {}
@@ -197,8 +211,8 @@ class Group:
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             return False
-        if self._index is not None:
-            return g.images in self._index
+        if self._elements is not None:
+            return self._find(g) >= 0
         h = g
         for lv in self._bsgs():
             beta = h.images[lv.base]
@@ -216,7 +230,11 @@ class Group:
     def elements(self) -> tuple[Permutation, ...]:
         """All elements, sorted lexicographically by image array.
 
-        Raises EnumerationCapError when the order exceeds the cap.
+        The element matrix ``_emat`` (one row of images per element) is the
+        set of products of the stabilizer-chain transversals, built one
+        level at a time from the deepest; the Permutations are made from
+        its sorted rows.  Raises EnumerationCapError when the order exceeds
+        the cap.
         """
         if self._elements is None:
             n = self.order()
@@ -227,58 +245,121 @@ class Group:
                     cap=self.enum_cap,
                     size=n,
                 )
-            seen = {self.identity.images: self.identity}
-            frontier = [self.identity]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = x * g
-                        if y.images not in seen:
-                            seen[y.images] = y
-                            nxt.append(y)
-                frontier = nxt
-            self._elements = tuple(sorted(seen.values()))
+            emat = np.arange(self.degree, dtype=np.int32)[None, :]
+            for lv in reversed(self._bsgs()):
+                u = np.array([t.images for t in lv.transversal.values()], np.int32)
+                # x * u has images u[x]
+                emat = u[:, emat].reshape(-1, self.degree)
+            self._emat = emat[np.lexsort(emat.T[::-1])]
+            self._elements = tuple(
+                Permutation._unchecked(tuple(row.tolist())) for row in self._emat
+            )
         return self._elements
 
     def _ensure_index(self) -> None:
-        if self._index is None:
-            elems = self.elements()
-            self._emat = np.array([p.images for p in elems], dtype=np.int32)
-            self._index = {p.images: i for i, p in enumerate(elems)}
+        """Build the element index: a base and one key table per base point.
+
+        The base is chosen greedily from the element matrix: each point is
+        the least one moved by an element fixing the points before it, so
+        an element is fixed by its images of the base points.  Level l's
+        key table maps (key of the first l base images, image of base
+        point l) to the key of the first l + 1.  Keys are dense ranks of
+        the prefixes that occur, so every key is below the group order and
+        the lookup is exact at any degree; the last level's key is the
+        element index.  Row -1 of every table is -1, so a prefix that no
+        element has stays -1.
+        """
+        if self._keys is None:
+            self.elements()
+            emat = self._emat
+            n, deg = emat.shape
+            base: list[int] = []
+            fixing = np.ones(n, dtype=bool)
+            while fixing.sum() > 1:
+                moved = (emat[fixing] != np.arange(deg)).any(axis=0)
+                base.append(int(np.argmax(moved)))
+                fixing &= emat[:, base[-1]] == base[-1]
+            key = np.zeros(n, dtype=np.int64)
+            keys = []
+            for level, b in enumerate(base):
+                if level == len(base) - 1:
+                    nxt = np.arange(n)
+                else:
+                    nxt = np.unique(key * deg + emat[:, b], return_inverse=True)[1]
+                table = np.full((int(key.max()) + 2, deg), -1, dtype=np.int32)
+                table[key, emat[:, b]] = nxt
+                keys.append(table)
+                key = nxt
+            self._base = np.array(base, dtype=np.int64)
+            self._keys = keys
+
+    def _lookup(self, base_images: Iterable[np.ndarray], shape) -> np.ndarray:
+        """Element indices from images of the base points.
+
+        ``base_images`` yields, for each base point in turn, an array of
+        its images of the given shape; the result has that shape, with -1
+        where no element has those base images.  Exact for elements of the
+        group; anything else must be checked against the element matrix.
+        Needs the index built.
+        """
+        key = np.zeros(shape, dtype=np.int32)
+        for table, images in zip(self._keys, base_images):
+            key = table[key, images]
+        return key
+
+    def _indices_of_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Indices of the elements with the given image rows; raises
+        NotASubgroupError when a row is not an element."""
+        self._ensure_index()
+        idx = self._lookup(rows[:, self._base].T, len(rows)).astype(np.int64)
+        if (idx < 0).any() or not np.array_equal(self._emat[idx], rows):
+            raise NotASubgroupError("element set is not contained in parent")
+        return idx
+
+    def _find(self, g: Permutation) -> int:
+        """Index of g, or -1 when g is not an element."""
+        if g.degree != self.degree:
+            return -1
+        self._ensure_index()
+        i = int(self._lookup(np.array(g.images)[self._base], ()))
+        return i if i >= 0 and self._elements[i] == g else -1
 
     def element_index(self, g: Permutation) -> int:
-        self._ensure_index()
-        try:
-            return self._index[g.images]
-        except KeyError:
-            raise NotASubgroupError(f"{g} is not an element of this group") from None
+        i = self._find(g)
+        if i < 0:
+            raise NotASubgroupError(f"{g} is not an element of this group")
+        return i
 
     def element_at(self, i: int) -> Permutation:
         return self.elements()[i]
 
     def table(self, force: bool = False) -> np.ndarray | None:
         """Dense multiplication table on element indices, or None when the
-        order exceeds the table cap (``force=True`` builds it regardless)."""
+        order exceeds the table cap (``force=True`` builds it regardless).
+
+        Product e_i * e_j has images e_j[e_i], so for all j at once its
+        base images are the columns e_i[base] of the element matrix, and
+        the element index turns them into product indices.  Rows are done
+        in blocks of at most ``_BLOCK`` products, one base point at a time,
+        so the work arrays beyond the table hold O(max(n, _BLOCK)) entries.
+        Inverses come the same way from the base images of the inverted
+        rows.
+        """
         if self._table is None and self.order() > self.table_cap and not force:
             return None
         if self._table is None:
             self._ensure_index()
-            emat = self._emat
+            emat, base = self._emat, self._base
             n = len(emat)
-            lookup = {emat[j].tobytes(): j for j in range(n)}
+            cols = np.ascontiguousarray(emat.T)
             tbl = np.empty((n, n), dtype=np.int32)
-            for i in range(n):
-                prods = emat[:, emat[i]]
-                row = tbl[i]
-                for j in range(n):
-                    row[j] = lookup[prods[j].tobytes()]
-            inv_rows = np.argsort(emat, axis=1).astype(np.int32)
-            self._inv_idx = np.fromiter(
-                (lookup[inv_rows[i].tobytes()] for i in range(n)),
-                dtype=np.int64,
-                count=n,
-            )
+            step = max(1, _BLOCK // n)
+            for lo in range(0, n, step):
+                rows = emat[lo : lo + step]
+                images = (cols[rows[:, b]] for b in base)
+                tbl[lo : lo + step] = self._lookup(images, (len(rows), n))
+            inv_base = np.argsort(emat, axis=1)[:, base].T
+            self._inv_idx = self._lookup(inv_base, n).astype(np.int64)
             self._table = tbl
         return self._table
 
@@ -296,15 +377,11 @@ class Group:
         """
         if isinstance(sub, int):
             return indices_from_mask(sub, self.order())
-        self._ensure_index()
-        idx = np.empty(sub.order(), dtype=np.int64)
-        for k, p in enumerate(sub.elements()):
-            j = self._index.get(p.images)
-            if j is None:
-                raise NotASubgroupError("element set is not contained in parent")
-            idx[k] = j
-        idx.sort()
-        return idx
+        if sub.degree != self.degree:
+            raise NotASubgroupError("element set is not contained in parent")
+        sub.elements()
+        # both element lists are in lexicographic order, so the indices are too
+        return self._indices_of_rows(sub._emat)
 
     def mask_of(self, sub: "Group | int") -> int:
         if isinstance(sub, int):
@@ -352,6 +429,7 @@ class Group:
             self.enum_cap,
             self.table_cap,
             _known_elements=members,
+            _known_emat=self._emat[idx],
         )
 
     def subgroup_from_mask(self, mask: int) -> "Group":
@@ -368,7 +446,8 @@ class Group:
     def same_elements(self, other: "Group") -> bool:
         if self.degree != other.degree or self.order() != other.order():
             return False
-        return self.elements() == other.elements()
+        self.elements(), other.elements()
+        return np.array_equal(self._emat, other._emat)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -577,13 +656,9 @@ def centralizer(G: Group, H: Group) -> Group:
         for h in H.generators:
             hi = G.element_index(h)
             keep &= tbl[:, hi] == tbl[hi, :]
-        return G.subgroup_from_indices(np.nonzero(keep)[0])
-    out = [
-        x
-        for x in G.elements()
-        if all(x * h == h * x for h in H.generators)
-    ]
-    return Group(G.degree, out, G.enum_cap, G.table_cap, _known_elements=tuple(out))
+    else:
+        keep = [all(x * h == h * x for h in H.generators) for x in G.elements()]
+    return G.subgroup_from_indices(np.nonzero(keep)[0])
 
 
 def _normalizer_mask(G: Group, mask: int) -> int:
@@ -627,19 +702,7 @@ def center(G: Group) -> Group:
 
 def intersection(G: Group, H: Group, K: Group) -> Group:
     """H ∩ K as a subgroup of G."""
-    tbl = G.table()
-    if tbl is not None:
-        m = G.mask_of(H) & G.mask_of(K)
-        return G.subgroup_from_mask(m)
-    hset = set(H.elements())
-    members = tuple(sorted(p for p in K.elements() if p in hset))
-    gens: list[Permutation] = []
-    cur = Group(G.degree, (), G.enum_cap, G.table_cap)
-    for p in members:
-        if not cur.contains(p):
-            gens.append(p)
-            cur = Group(G.degree, gens, G.enum_cap, G.table_cap)
-    return Group(G.degree, gens, G.enum_cap, G.table_cap, _known_elements=members)
+    return G.subgroup_from_mask(G.mask_of(H) & G.mask_of(K))
 
 
 def is_subnormal(G: Group, H: Group | int) -> bool:
@@ -696,10 +759,16 @@ class CosetMap:
     def projection_indices(self) -> np.ndarray:
         """Array q with q[i] = quotient element index of source element i."""
         if self._proj_idx is None:
-            out = np.empty(self.source.order(), dtype=np.int64)
-            for i in range(self.source.order()):
-                out[i] = self.quotient.element_index(self.project_index(i))
-            self._proj_idx = out
+            src = self.source
+            tbl = src.table()
+            if tbl is not None:
+                # row i: the cosets N r * e_i, i.e. the images of e_i's projection
+                rows = self.coset_of[tbl[self.reps]].T
+            else:
+                rows = np.array(
+                    [self.project_index(i).images for i in range(src.order())]
+                )
+            self._proj_idx = self.quotient._indices_of_rows(rows)
         return self._proj_idx
 
     def image_mask(self, mask: int) -> int:

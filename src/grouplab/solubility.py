@@ -43,10 +43,13 @@ class ChiefSeries:
 
 def chief_series(G: Group) -> ChiefSeries:
     """Chief series of G: from N = 1, repeatedly step to the smallest join
-    of N with a normal atom of G, by (order, mask), until G is reached."""
+    of N with a normal atom of G, by (order, mask), until G is reached.
+
+    G's cache keeps the chain and factor orders without G itself, so that
+    it makes no reference cycle and a dropped G is freed at once."""
     cached = G.cache.get("chief")
     if cached is not None:
-        return cached
+        return ChiefSeries(G, *cached)
     n = G.order()
     tbl = G.table(force=True)
     atoms = [(a, indices_from_mask(a, n)) for a in _normal_atom_masks(G)]
@@ -64,9 +67,8 @@ def chief_series(G: Group) -> ChiefSeries:
         chain_idx.insert(0, cur_idx)
     chain = [G.subgroup_from_indices(idx) for idx in chain_idx]
     factors = [len(a) // len(b) for a, b in zip(chain_idx, chain_idx[1:])]
-    series = ChiefSeries(group=G, chain=chain, factor_orders=factors)
-    G.cache["chief"] = series
-    return series
+    G.cache["chief"] = (chain, factors)
+    return ChiefSeries(group=G, chain=chain, factor_orders=factors)
 
 
 def derived_subgroup(G: Group) -> Group:

@@ -126,17 +126,20 @@ def sylow_subgroup(G: Group, p: int) -> Group:
 
 
 def all_sylow_subgroups(G: Group, p: int) -> SylowSystem:
-    """The complete conjugacy class of Sylow p-subgroups."""
+    """The complete conjugacy class of Sylow p-subgroups.
+
+    G's cache keeps the system without G itself, so that it makes no
+    reference cycle and a dropped G is freed at once, table and all.
+    """
     key = ("sylows", p)
     cached = G.cache.get(key)
     if cached is not None:
-        return cached
+        return SylowSystem(G, p, *cached)
     rep = sylow_subgroup(G, p)
     if rep.order() == G.order() or rep.is_trivial:
-        # 1 and G are the index prefixes of lengths 1 and |G|
-        system = SylowSystem(G, p, rep, [rep], [(1 << rep.order()) - 1])
-        G.cache[key] = system
-        return system
+        # 1 and G are the index prefixes of lengths 1 and |G|; not cached,
+        # as rep may be G and costs nothing to find again
+        return SylowSystem(G, p, rep, [rep], [(1 << rep.order()) - 1])
     tbl = G.table()
     seen_masks = {}
     if tbl is not None:
@@ -176,9 +179,8 @@ def all_sylow_subgroups(G: Group, p: int) -> SylowSystem:
                     queue.append(Hg)
         groups = [seen[k] for k in sorted(seen)]
         masks = [G.mask_of(H) for H in groups]
-    system = SylowSystem(G, p, rep, groups, masks)
-    G.cache[key] = system
-    return system
+    G.cache[key] = (rep, groups, masks)
+    return SylowSystem(G, p, rep, groups, masks)
 
 
 # -- the subgroup lattice ------------------------------------------------------

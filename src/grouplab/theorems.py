@@ -561,6 +561,8 @@ def verify_lemma_2_3(
                 if S.order() > 1 and m not in found and is_s_semipermutable(G, m):
                     found[m] = S
         candidates = sorted(found.items(), key=lambda t: (t[0].bit_count(), t[0]))
+    # every subgroup of a soluble group is soluble, so G decides them all
+    g_soluble = bool(candidates) and is_soluble(G)
     for m, H in candidates:
         if len(inst) >= PART_BUDGET:
             sampled = True
@@ -568,7 +570,7 @@ def verify_lemma_2_3(
         H = _standalone(G, m) if H is None else H
         closure = normal_closure(G, H)
         key = ("closure_soluble", G.mask_of(closure))
-        ok = _cached(G, key, lambda: is_soluble(closure))
+        ok = g_soluble or _cached(G, key, lambda: is_soluble(closure))
         inst.append(
             (
                 ok,
