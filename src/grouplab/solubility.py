@@ -3,13 +3,18 @@
 A chief series is built from the bottom on G's own table.  Every minimal
 normal subgroup M of G over a normal N is N∨A, with A the normal closure of
 any conjugacy class in M∖N; so the smallest join N∨A over these closures
-(the normal atoms) is minimal normal over N.  Factor orders are reported
-from the top.
+(the normal atoms, found from G's cyclic subgroups) is minimal normal over
+N.  N and A are normal, so N∨A is the product set NA and its order
+|N||A|/|N∩A| is known from bit counts before it is built; only the joins of
+least order are built.  The chain is kept as masks over G's element index,
+and its members become groups only when ``ChiefSeries.chain`` is read.
+Factor orders are reported from the top.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +27,6 @@ from .groups import (
     subgroup_generated,
 )
 from .structure import (
-    _join_subgroup_indices,
     _normal_atom_masks,
     o_p_prime,
     p_part,
@@ -34,41 +38,58 @@ from .structure import (
 @dataclass
 class ChiefSeries:
     """Descending chain G = N_0 > N_1 > ... > N_k = 1 of normal-in-G
-    subgroups with chief factors N_{i-1}/N_i."""
+    subgroups with chief factors N_{i-1}/N_i; ``masks[i]`` is the mask of
+    N_i over G's element index."""
 
     group: Group
-    chain: list[Group]
+    masks: list[int]
     factor_orders: list[int]
+
+    @cached_property
+    def chain(self) -> list[Group]:
+        """The members N_i as groups, built from the masks on first read."""
+        return [self.group.subgroup_from_mask(m) for m in self.masks]
 
 
 def chief_series(G: Group) -> ChiefSeries:
     """Chief series of G: from N = 1, repeatedly step to the smallest join
-    of N with a normal atom of G, by (order, mask), until G is reached.
+    N∨A = NA with a normal atom A of G, by (order, mask), until G is
+    reached.  The order of every join comes from |N||A|/|N∩A|; product sets
+    are built only for the joins of least order, and each must have exactly
+    that order.
 
-    G's cache keeps the chain and factor orders without G itself, so that
+    G's cache keeps the masks and factor orders without G itself, so that
     it makes no reference cycle and a dropped G is freed at once."""
     cached = G.cache.get("chief")
     if cached is not None:
         return ChiefSeries(G, *cached)
     n = G.order()
     tbl = G.table(force=True)
-    atoms = [(a, indices_from_mask(a, n)) for a in _normal_atom_masks(G)]
-    cur, cur_idx = 1, np.array([0], dtype=np.int64)
-    chain_idx = [cur_idx]
-    while len(cur_idx) < n:
-        joins = []
-        for a, a_idx in atoms:
-            if a | cur == cur:
+    atoms = [(a, a.bit_count()) for a in _normal_atom_masks(G)]
+    cur = 1
+    masks = [cur]
+    while cur.bit_count() < n:
+        size = cur.bit_count()
+        joins = [
+            (size * s // (a & cur).bit_count(), a)
+            for a, s in atoms
+            if a | cur != cur
+        ]
+        least = min(order for order, _ in joins)
+        cur_idx = indices_from_mask(cur, n)
+        built = []
+        for order, a in joins:
+            if order != least:
                 continue
-            inter = (a & cur).bit_count()
-            j_idx = _join_subgroup_indices(tbl, n, cur_idx, a_idx, inter)
-            joins.append((len(j_idx), mask_from_indices(j_idx, n), j_idx))
-        _, cur, cur_idx = min(joins, key=lambda j: j[:2])
-        chain_idx.insert(0, cur_idx)
-    chain = [G.subgroup_from_indices(idx) for idx in chain_idx]
-    factors = [len(a) // len(b) for a, b in zip(chain_idx, chain_idx[1:])]
-    G.cache["chief"] = (chain, factors)
-    return ChiefSeries(group=G, chain=chain, factor_orders=factors)
+            j_idx = np.unique(tbl[cur_idx[:, None], indices_from_mask(a, n)])
+            if len(j_idx) != order:
+                raise AssertionError("|NA| != |N||A|/|N∩A| for normal N, A")
+            built.append(mask_from_indices(j_idx, n))
+        cur = min(built)
+        masks.insert(0, cur)
+    factors = [a.bit_count() // b.bit_count() for a, b in zip(masks, masks[1:])]
+    G.cache["chief"] = (masks, factors)
+    return ChiefSeries(G, masks, factors)
 
 
 def derived_subgroup(G: Group) -> Group:

@@ -220,6 +220,27 @@ def _join_subgroup_indices(
     return np.nonzero(member)[0]
 
 
+def _cyclic_masks(G: Group, idx: np.ndarray) -> list[int]:
+    """Masks of the cyclic subgroups <g> for the element indices ``idx``.
+
+    All the elements are raised to successive powers together on G's
+    table, one row of a ``(len(idx), |G|)`` bool block each, until every
+    power has come back to the identity.
+    """
+    tbl = G.table(force=True)
+    idx = np.asarray(idx, dtype=np.int64)
+    block = np.zeros((len(idx), G.order()), dtype=bool)
+    block[:, 0] = True
+    rows, powers = np.arange(len(idx)), idx
+    while rows.size:
+        block[rows, powers] = True
+        powers = tbl[powers, idx[rows]]
+        live = powers != 0
+        rows, powers = rows[live], powers[live]
+    packed = np.packbits(block, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def lattice_masks(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
     """Element-set bitmasks of every subgroup of G, sorted by (order, mask).
 
@@ -237,14 +258,7 @@ def lattice_masks(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[int]
     if cached is not None:
         return cached
     tbl = G.table(force=True)
-    cyclics = set()
-    for i in range(1, n):
-        idxs = [0]
-        j = i
-        while j != 0:
-            idxs.append(j)
-            j = int(tbl[j, i])
-        cyclics.add(mask_from_indices(np.array(sorted(idxs), dtype=np.int64), n))
+    cyclics = set(_cyclic_masks(G, np.arange(1, n)))
     cyclic_list = sorted(cyclics)
     idx_of = {m: indices_from_mask(m, n) for m in cyclic_list}
     idx_of[1] = np.array([0], dtype=np.int64)
@@ -284,15 +298,21 @@ def all_subgroups(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[Grou
 
 
 def _conjugacy_class_indices(G: Group) -> list[np.ndarray]:
+    """Conjugacy classes as index arrays, ordered by their least index.
+    The central elements, fixed by conjugation with every generator, are
+    the singleton classes and are found at once."""
     cached = G.cache.get("classes")
     if cached is not None:
         return cached
-    tbl = G.table(force=True)
+    G.table(force=True)
     n = G.order()
     cvecs = [G.conjugation_vector(G.element_index(g)) for g in G.generators]
-    seen = np.zeros(n, dtype=bool)
-    classes = []
-    for i in range(n):
+    ident = np.arange(n)
+    seen = np.ones(n, dtype=bool)
+    for cv in cvecs:
+        seen &= cv == ident
+    classes = [ident[i : i + 1] for i in np.flatnonzero(seen)]
+    for i in np.flatnonzero(~seen):
         if seen[i]:
             continue
         member = np.zeros(n, dtype=bool)
@@ -310,29 +330,47 @@ def _conjugacy_class_indices(G: Group) -> list[np.ndarray]:
         cls = np.nonzero(member)[0]
         seen[cls] = True
         classes.append(cls)
+    classes.sort(key=lambda cls: int(cls[0]))
     G.cache["classes"] = classes
     return classes
 
 
 def _normal_atom_masks(G: Group) -> list[int]:
-    """Masks of the normal closures of single conjugacy classes.  Every
-    normal subgroup is a join of these and every minimal normal subgroup is
-    a minimal one of these."""
+    """Masks of the normal closures of single conjugacy classes, sorted by
+    (order, mask).  Every normal subgroup is a join of these and every
+    minimal normal subgroup is a minimal one of these.
+
+    The closure of the class of g is the normal closure of <g>, so classes
+    whose representatives generate the same cyclic subgroup share an atom,
+    and a central class (of size 1) has the atom <g> itself.  Any other
+    class is closed as a normal set: products of a union of classes are a
+    union of classes, so multiplying the new elements by the members on one
+    side reaches every product.
+    """
     cached = G.cache.get("normal_atoms")
     if cached is not None:
         return cached
     tbl = G.table(force=True)
     n = G.order()
-    atoms = []
-    seen_atoms = set()
-    for cls in _conjugacy_class_indices(G):
-        if len(cls) == 1 and cls[0] == 0:
+    classes = _conjugacy_class_indices(G)[1:]  # the first is {identity}
+    reps = np.array([cls[0] for cls in classes], dtype=np.int64)
+    atom_of: dict[int, int] = {}
+    for cls, cyc in zip(classes, _cyclic_masks(G, reps)):
+        if cyc in atom_of:
             continue
-        m = mask_from_indices(_closure_indices(tbl, cls), n)
-        if m not in seen_atoms:
-            seen_atoms.add(m)
-            atoms.append(m)
-    atoms.sort(key=lambda m: (m.bit_count(), m))
+        if len(cls) == 1:
+            atom_of[cyc] = cyc
+            continue
+        member = np.zeros(n, dtype=bool)
+        member[0] = True
+        member[cls] = True
+        frontier = cls
+        while frontier.size:
+            prods = np.unique(tbl[frontier[:, None], np.nonzero(member)[0]])
+            frontier = prods[~member[prods]]
+            member[frontier] = True
+        atom_of[cyc] = mask_from_indices(np.nonzero(member)[0], n)
+    atoms = sorted(set(atom_of.values()), key=lambda m: (m.bit_count(), m))
     G.cache["normal_atoms"] = atoms
     return atoms
 

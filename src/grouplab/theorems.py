@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import DEFAULT_LATTICE_CAP, LatticeCapError
 from .groups import (
-    CosetMap,
     Group,
     _normalizer_mask,
     indices_from_mask,
@@ -288,8 +287,23 @@ def _detail(G: Group, subgroups: dict[str, int], **plain) -> Callable[[], dict]:
     }
 
 
-def _quotient(G: Group, nm: int) -> CosetMap:
-    return _cached(G, ("quotient", nm), lambda: quotient(G, _standalone(G, nm)))
+def _quotient(G: Group, nm: int) -> tuple[Group, np.ndarray]:
+    """(G/N, q) for the normal subgroup N with mask nm, where q[i] is the
+    index in G/N of G's element i.  G's cache keeps these rather than the
+    CosetMap, whose source is G, so that it makes no reference cycle."""
+
+    def build():
+        cm = quotient(G, _standalone(G, nm))
+        return cm.quotient, cm.projection_indices()
+
+    return _cached(G, ("quotient", nm), build)
+
+
+def _image_mask(Q: Group, proj: np.ndarray, mask: int) -> int:
+    """Mask in Q = G/N of the image of the subgroup of G with this mask,
+    by the projection ``proj`` that ``_quotient`` returns with Q."""
+    idx = np.unique(proj[indices_from_mask(mask, len(proj))])
+    return mask_from_indices(idx, Q.order())
 
 
 def _p_subgroup_prime(G: Group, mask: int) -> int | None:
@@ -376,7 +390,7 @@ def verify_lemma_2_1(
         if nm == 1 or nm == full:
             # kernel 1 and kernel G are tautological transfers
             continue
-        cm = _quotient(G, nm)
+        Q, proj = _quotient(G, nm)
         for m in lat:
             if m | nm != m:  # requires K <= H
                 continue
@@ -384,7 +398,7 @@ def verify_lemma_2_1(
                 sampled = True
                 break
             lhs = m in sp_masks
-            rhs = is_s_permutable(cm.quotient, cm.image_mask(m))
+            rhs = is_s_permutable(Q, _image_mask(Q, proj, m))
             detail = _detail(
                 G,
                 {"subgroup": m},
@@ -487,19 +501,19 @@ def verify_lemma_2_2(
             break
         if nm == 1 or nm == (1 << G.order()) - 1:
             continue
-        cm = _quotient(G, nm)
+        Q, proj = _quotient(G, nm)
         for p, m in ssp:
             if len(inst) >= PART_BUDGET:
                 sampled = True
                 break
-            image = cm.image_mask(m)
+            image = _image_mask(Q, proj, m)
             detail = _detail(
                 G,
                 {"subgroup": m},
                 kernel_order=nm.bit_count(),
                 image_order=image.bit_count(),
             )
-            inst.append((is_s_semipermutable(cm.quotient, image), detail))
+            inst.append((is_s_semipermutable(Q, image), detail))
     records.append(
         _part_record("lemma-2.2.2", group_name, None, inst, sampled, t0)
     )

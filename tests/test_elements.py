@@ -29,8 +29,18 @@ from grouplab.groups import (
     quotient,
 )
 from grouplab.perms import Permutation
-from grouplab.structure import lattice_masks, normal_subgroup_masks
-from grouplab.theorems import HypothesisMode, verify_main
+from grouplab.structure import (
+    lattice_masks,
+    normal_subgroup_masks,
+    p_residual,
+    primes_of,
+)
+from grouplab.theorems import (
+    HypothesisMode,
+    verify_lemma_2_1,
+    verify_lemma_2_2,
+    verify_main,
+)
 
 LARGE = {
     "S4xS4": lambda: direct_product(symmetric(4), symmetric(4)),
@@ -130,9 +140,9 @@ def test_table_build_memory_stays_near_the_table():
 
 
 def test_checked_group_is_freed_without_the_cycle_collector():
-    """G's caches (Sylow systems, chief series) hold no reference back to
-    G, so a dropped group and its table are freed at once rather than at
-    the next full cyclic collection."""
+    """G's caches (Sylow systems, chief series, the quotients of the lemma
+    suites) hold no reference back to G, so a dropped group and its table
+    are freed at once rather than at the next full cyclic collection."""
     gc.collect()
     gc.disable()
     try:
@@ -141,6 +151,9 @@ def test_checked_group_is_freed_without_the_cycle_collector():
             for p in (2, 3):
                 for mode in HypothesisMode:
                     verify_main(G, p, mode)
+            verify_lemma_2_1(G)
+            verify_lemma_2_2(G)
+            assert any(k[0] == "quotient" for k in G.cache if isinstance(k, tuple))
             assert G.cache and G._table is not None
             ref = weakref.ref(G)
             del G
@@ -183,4 +196,13 @@ def test_remaining_no_table_fallbacks_agree(name):
         assert [cm.image_mask(m) for m in masks] == [
             cm_ref.image_mask(m) for m in masks
         ]
+    assert bare._table is None
+
+
+@pytest.mark.parametrize("name", sorted(NO_TABLE))
+def test_p_residual_no_table_fallback_agrees(name):
+    ref = NO_TABLE[name]()
+    bare = Group(ref.degree, ref.generators, table_cap=1)
+    for p in primes_of(ref):
+        assert bare.mask_of(p_residual(bare, p)) == ref.mask_of(p_residual(ref, p))
     assert bare._table is None
