@@ -667,7 +667,19 @@ def _normalizer_mask(G: Group, mask: int) -> int:
     x normalizes H iff xH = Hx.  With the table the equivalent test
     x^-1 H x ⊆ H (conjugation is injective) runs on blocks of x, each
     gathering at most 2^18 conjugates so memory stays bounded.
+
+    Results are kept in ``G.cache["normalizers"]``, mask to mask, so the
+    normalizers that building the subgroup lattice computes for every
+    member serve later callers too.
     """
+    known = G.cache.setdefault("normalizers", {})
+    found = known.get(mask)
+    if found is None:
+        found = known[mask] = _scan_normalizer(G, mask)
+    return found
+
+
+def _scan_normalizer(G: Group, mask: int) -> int:
     n = G.order()
     hidx = indices_from_mask(mask, n)
     tbl = G.table()

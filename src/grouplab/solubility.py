@@ -20,6 +20,7 @@ import numpy as np
 
 from .groups import (
     Group,
+    _closure_indices,
     indices_from_mask,
     is_normal,
     mask_from_indices,
@@ -98,6 +99,38 @@ def derived_subgroup(G: Group) -> Group:
         for b in G.generators[i:]:
             comms.append(a.inverse() * b.inverse() * a * b)
     return normal_closure(G, subgroup_generated(G, comms))
+
+
+def derived_series_masks(G: Group) -> list[int]:
+    """Masks of the derived series G = G^(0) > G^(1) > ... on G's table,
+    ending at the first perfect term, the soluble residual G^(∞) (the
+    mask 1 when G is soluble).
+
+    [H, H] is the closure of the commutators of H's elements; they are
+    gathered for blocks of H's elements at a time, each block of at most
+    2^18 commutators, so memory stays bounded.  G's cache keeps the masks.
+    """
+    cached = G.cache.get("derived_masks")
+    if cached is not None:
+        return cached
+    n = G.order()
+    tbl = G.table(force=True)
+    inv = G.inverse_indices()
+    cur = np.arange(n)
+    masks = [(1 << n) - 1]
+    while len(cur) > 1:
+        member = np.zeros(n, dtype=bool)
+        step = max(1, (1 << 18) // len(cur))
+        for lo in range(0, len(cur), step):
+            a = cur[lo : lo + step, None]
+            member[tbl[tbl[inv[a], inv[cur]], tbl[a, cur]]] = True
+        nxt = _closure_indices(tbl, np.flatnonzero(member))
+        if len(nxt) == len(cur):
+            break
+        cur = nxt
+        masks.append(mask_from_indices(cur, n))
+    G.cache["derived_masks"] = masks
+    return masks
 
 
 def is_soluble(G: Group) -> bool:

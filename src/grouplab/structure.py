@@ -1,10 +1,10 @@
 """Structural subgroup machinery.
 
 Sylow subgroups are built by normalizer ascent so they scale past the
-subgroup-lattice cap; the full lattice (layered closure over cyclic
-subgroups) and normal subgroups (join closure of conjugacy-class closures)
-are independent constructions so that chief series remain available for
-groups whose lattice would be too expensive.
+subgroup-lattice cap; the full lattice (cyclic extension from the soluble
+residual's lattice) and normal subgroups (join closure of conjugacy-class
+closures) are independent constructions so that chief series remain
+available for groups whose lattice would be too expensive.
 
 Maximal subgroups of a p-group P are the preimages of the hyperplanes of
 the elementary abelian quotient P/Phi(P); the generator-number d satisfies
@@ -32,6 +32,7 @@ from .errors import (
 from .groups import (
     Group,
     _closure_indices,
+    _normalizer_mask,
     _require_subgroup,
     indices_from_mask,
     mask_from_indices,
@@ -193,7 +194,9 @@ def _join_subgroup_indices(
 
     Stops after the first product round when the member count equals
     |A||Z|/|A∩Z|: the product set is then already closed, which covers the
-    common case of one factor normalizing the other.
+    common case of one factor normalizing the other.  Only the closure
+    that builds the soluble residual's lattice (``_closure_lattice``) joins
+    subgroups this way.
     """
     expected = len(a_idx) * len(z_idx) // inter
     member = np.zeros(n, dtype=bool)
@@ -220,6 +223,12 @@ def _join_subgroup_indices(
     return np.nonzero(member)[0]
 
 
+def _row_masks(block: np.ndarray) -> list[int]:
+    """The mask of each row of a bool block over G's index."""
+    packed = np.packbits(block, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _cyclic_masks(G: Group, idx: np.ndarray) -> list[int]:
     """Masks of the cyclic subgroups <g> for the element indices ``idx``.
 
@@ -237,32 +246,20 @@ def _cyclic_masks(G: Group, idx: np.ndarray) -> list[int]:
         powers = tbl[powers, idx[rows]]
         live = powers != 0
         rows, powers = rows[live], powers[live]
-    packed = np.packbits(block, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return _row_masks(block)
 
 
-def lattice_masks(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
-    """Element-set bitmasks of every subgroup of G, sorted by (order, mask).
-
-    Built by layered closure: all cyclic subgroups, then joins of known
-    subgroups with cyclic subgroups until nothing new appears.
-    """
+def _closure_lattice(G: Group, r_idx: np.ndarray) -> set[int]:
+    """Masks of every subgroup of the subgroup R of G with the element
+    indices ``r_idx``, by layered closure: R's cyclic subgroups, then joins
+    of known subgroups with cyclic subgroups until nothing new appears.
+    For R = 1 this is {1}."""
     n = G.order()
-    if n > lattice_cap:
-        raise LatticeCapError(
-            f"group of order {n} exceeds the subgroup-lattice cap {lattice_cap}",
-            cap=lattice_cap,
-            size=n,
-        )
-    cached = G.cache.get("lattice_masks")
-    if cached is not None:
-        return cached
     tbl = G.table(force=True)
-    cyclics = set(_cyclic_masks(G, np.arange(1, n)))
-    cyclic_list = sorted(cyclics)
+    cyclic_list = sorted(set(_cyclic_masks(G, r_idx[1:])))
     idx_of = {m: indices_from_mask(m, n) for m in cyclic_list}
     idx_of[1] = np.array([0], dtype=np.int64)
-    subs = {1} | cyclics
+    subs = {1, *cyclic_list}
     frontier = sorted(subs)
     while frontier:
         fresh = []
@@ -279,6 +276,77 @@ def lattice_masks(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[int]
                     idx_of[j] = j_idx
                     fresh.append(j)
         frontier = fresh
+    return subs
+
+
+def lattice_masks(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
+    """Element-set bitmasks of every subgroup of G, sorted by (order, mask).
+
+    Built by cyclic extension (Neubüser) from the lattice of the soluble
+    residual R = G^(∞), the last term of the derived series.  R's own
+    subgroups come from a layered closure over R's cyclic subgroups
+    (just {1} when G is soluble).  Every other subgroup H has H^(∞) <= R
+    and H/H^(∞) soluble, so it is K<g> for some known K normal of prime
+    index p in it, with g in N_G(K) and g^p in K.  So for each subgroup K
+    found, the right cosets Kx inside N_G(K) are labelled by their least
+    element in one gather; each coset minimum g outside K with g^p in K
+    (p-th powers precomputed for every prime of |G|) gives K<g>, the union
+    of the cosets Kg^i for i < p, built once, from the least coset minimum
+    it contains.  When N_G(K) <= R, every such K<g> is already in R's
+    lattice.  The normalizers stay in G's cache (``_normalizer_mask``).
+    """
+    n = G.order()
+    if n > lattice_cap:
+        raise LatticeCapError(
+            f"group of order {n} exceeds the subgroup-lattice cap {lattice_cap}",
+            cap=lattice_cap,
+            size=n,
+        )
+    cached = G.cache.get("lattice_masks")
+    if cached is not None:
+        return cached
+    from .solubility import derived_series_masks  # solubility imports structure
+
+    tbl = G.table(force=True)
+    ident = np.arange(n)
+    powers = {}
+    for p in prime_factors(n):
+        x = ident
+        for _ in range(p - 1):
+            x = tbl[x, ident]
+        powers[p] = x
+    residual = derived_series_masks(G)[-1]
+    subs = _closure_lattice(G, indices_from_mask(residual, n))
+    queue = list(subs)
+    label = np.zeros(n, dtype=np.int64)
+    while queue:
+        k = queue.pop()
+        nk = _normalizer_mask(G, k)
+        if nk == k or nk | residual == residual:
+            continue
+        k_idx = indices_from_mask(k, n)
+        n_idx = indices_from_mask(nk, n)
+        inside = np.zeros(n, dtype=bool)
+        inside[k_idx] = True
+        label[n_idx] = tbl[k_idx[:, None], n_idx].min(axis=0)
+        reps = np.unique(label[n_idx])[1:]  # K's own label, 0, comes first
+        for p, pth in powers.items():
+            g = reps[inside[pth[reps]]]
+            if not g.size:
+                continue
+            steps = [g]  # g^i for 0 < i < p, one row per candidate g
+            for _ in range(p - 2):
+                steps.append(tbl[steps[-1], g])
+            steps = np.stack(steps, axis=1)
+            steps = steps[label[steps].min(axis=1) == g]
+            cosets = tbl[k_idx[None, None, :], steps[:, :, None]]
+            block = np.zeros((len(steps), n), dtype=bool)
+            block[:, k_idx] = True
+            block[np.arange(len(steps))[:, None], cosets.reshape(len(steps), -1)] = True
+            for j in _row_masks(block):
+                if j not in subs:
+                    subs.add(j)
+                    queue.append(j)
     masks = sorted(subs, key=lambda m: (m.bit_count(), m))
     G.cache["lattice_masks"] = masks
     return masks
@@ -377,7 +445,10 @@ def _normal_atom_masks(G: Group) -> list[int]:
 
 def normal_subgroup_masks(G: Group) -> list[int]:
     """Masks of all normal subgroups: join closure of the normal closures
-    of single conjugacy classes.  Independent of the full lattice."""
+    of single conjugacy classes.  Independent of the full lattice.
+
+    A join of normal N and A is the product set NA, built one-sided; it
+    must have exactly |N||A|/|N∩A| members."""
     cached = G.cache.get("normal_masks")
     if cached is not None:
         return cached
@@ -391,8 +462,9 @@ def normal_subgroup_masks(G: Group) -> list[int]:
         for r in result:
             if r | a == r:
                 continue
-            inter = (r & a).bit_count()
-            j_idx = _join_subgroup_indices(tbl, n, idx_of[r], a_idx, inter)
+            j_idx = np.unique(tbl[idx_of[r][:, None], a_idx])
+            if len(j_idx) != r.bit_count() * len(a_idx) // (r & a).bit_count():
+                raise AssertionError("|NA| != |N||A|/|N∩A| for normal N, A")
             additions[mask_from_indices(j_idx, n)] = j_idx
         for m, j_idx in additions.items():
             if m not in result:
