@@ -40,7 +40,13 @@ from .solubility import (
     is_soluble,
     is_supersoluble,
 )
-from .structure import all_sylow_subgroups, primes_of, smallest_generator_number, sylow_subgroup
+from .structure import (
+    all_sylow_subgroups,
+    p_part,
+    primes_of,
+    smallest_generator_number,
+    sylow_subgroup,
+)
 from .theorems import HypothesisMode, verify_main
 
 
@@ -67,12 +73,14 @@ def _cmd_info(args) -> int:
     print(f"degree: {G.degree}")
     primes = primes_of(G)
     print(f"primes: {' '.join(map(str, primes)) or '-'}")
+    enumerable = G.order() <= G.enum_cap
     for p in primes:
-        P = sylow_subgroup(G, p)
-        count = all_sylow_subgroups(G, p).count if G.order() <= G.enum_cap else "?"
-        d = smallest_generator_number(P)
-        print(f"sylow p={p}: order {P.order()}, count {count}, d_p {d}")
-    if G.order() <= G.enum_cap:
+        count = d = "?"
+        if enumerable:  # finding a Sylow subgroup enumerates G
+            count = all_sylow_subgroups(G, p).count
+            d = smallest_generator_number(sylow_subgroup(G, p))
+        print(f"sylow p={p}: order {p_part(G.order(), p)}, count {count}, d_p {d}")
+    if enumerable:
         print(f"soluble: {is_soluble(G)}")
         print(f"nilpotent: {is_nilpotent(G)}")
         print(f"supersoluble: {is_supersoluble(G)}")

@@ -1,4 +1,5 @@
-"""Exception types and default size caps shared across the library.
+"""Exception types, default size caps and the one size threshold shared
+across the library.
 
 Every cap is an explicit, overridable number.  Operations that would blow
 past a cap raise instead of silently degrading; callers that can degrade
@@ -6,13 +7,18 @@ past a cap raise instead of silently degrading; callers that can degrade
 """
 
 DEFAULT_ENUM_CAP = 10_000
-"""Largest group order for which elements are listed one by one."""
+"""Largest group order for which elements are listed one by one.  It also
+bounds the dense multiplication table, which is built on the element index:
+n^2 int32 entries, 400 MB at 10,000."""
 
 DEFAULT_LATTICE_CAP = 400
 """Largest group order for which the full subgroup lattice is built."""
 
 DEFAULT_TABLE_CAP = 2048
-"""Largest group order for which a dense multiplication table is built."""
+"""Largest group order whose normal closures are built on its
+multiplication table; above it ``normal_closure`` works on the stabilizer
+chain and needs neither the element list nor the table.  A threshold, not
+a cap: nothing raises on it."""
 
 DEFAULT_FAMILY_LIMIT = 100_000
 """Most maximal-subgroup families enumerated per p-group."""

@@ -3,9 +3,12 @@
 A :class:`Group` is immutable after construction.  Its membership structure
 (a base and strong generating set), element list, element index and dense
 multiplication table are all built lazily, each at most once.  The element
-list is only materialized for groups whose order is at most the enumeration
-cap; the multiplication table additionally requires the order to be at most
-the table cap.
+list, and with it the multiplication table, exists only for groups whose
+order is at most the enumeration cap: the table is built on the element
+index, so every enumerable group gets its table, and above the cap both
+raise :class:`EnumerationCapError`.  Every operation that needs element
+data runs on the table; only :func:`normal_closure` has a second path, on
+the stabilizer chain, which needs no element list.
 
 Element data are NumPy arrays.  The element matrix (one row of images per
 element, rows in canonical order) is the set of products of the
@@ -148,7 +151,6 @@ class Group:
         degree: int,
         generators: Iterable[Permutation] = (),
         enum_cap: int = DEFAULT_ENUM_CAP,
-        table_cap: int = DEFAULT_TABLE_CAP,
         _known_elements: tuple[Permutation, ...] | None = None,
         _known_emat: np.ndarray | None = None,
     ):
@@ -169,7 +171,6 @@ class Group:
         self.degree = degree
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.enum_cap = enum_cap
-        self.table_cap = table_cap
         self._levels: list[_Level] | None = None
         self._order: int | None = None
         self._elements: tuple[Permutation, ...] | None = _known_elements
@@ -333,9 +334,10 @@ class Group:
     def element_at(self, i: int) -> Permutation:
         return self.elements()[i]
 
-    def table(self, force: bool = False) -> np.ndarray | None:
-        """Dense multiplication table on element indices, or None when the
-        order exceeds the table cap (``force=True`` builds it regardless).
+    def table(self) -> np.ndarray:
+        """Dense multiplication table on element indices: n x n int32
+        entries, 400 MB at the default enumeration cap of 10,000.  Raises
+        EnumerationCapError when the order exceeds the enumeration cap.
 
         Product e_i * e_j has images e_j[e_i], so for all j at once its
         base images are the columns e_i[base] of the element matrix, and
@@ -345,8 +347,6 @@ class Group:
         Inverses come the same way from the base images of the inverted
         rows.
         """
-        if self._table is None and self.order() > self.table_cap and not force:
-            return None
         if self._table is None:
             self._ensure_index()
             emat, base = self._emat, self._base
@@ -398,8 +398,8 @@ class Group:
         idx = np.sort(np.asarray(idx, dtype=np.int64))
         members = tuple(elems[int(i)] for i in idx)
         gens: list[Permutation] = []
-        tbl = self.table()
-        if tbl is not None and len(idx) > 1:
+        if len(idx) > 1:
+            tbl = self.table()
             have = np.zeros(self.order(), dtype=bool)
             have[0] = True
             for i in idx:
@@ -412,22 +412,10 @@ class Group:
                 have[_closure_indices(tbl, seed, closed=prev)] = True
                 if int(have.sum()) == len(idx):
                     break
-        else:
-            current = Group(self.degree, (), self.enum_cap, self.table_cap)
-            for i in idx:
-                p = elems[int(i)]
-                if not current.contains(p):
-                    gens.append(p)
-                    current = Group(
-                        self.degree, gens, self.enum_cap, self.table_cap
-                    )
-                    if current.order() == len(idx):
-                        break
         return Group(
             self.degree,
             gens,
             self.enum_cap,
-            self.table_cap,
             _known_elements=members,
             _known_emat=self._emat[idx],
         )
@@ -531,28 +519,17 @@ class ElementSet:
     def indices(self) -> np.ndarray:
         return indices_from_mask(self.mask, self.parent.order())
 
-    def members(self) -> tuple[Permutation, ...]:
-        elems = self.parent.elements()
-        return tuple(elems[int(i)] for i in self.indices())
-
     def is_subgroup_set(self) -> bool:
         """Exhaustive check that the set is closed under product and inverse."""
         tbl = self.parent.table()
         idx = self.indices()
-        if tbl is not None:
-            inside = np.zeros(self.parent.order(), dtype=bool)
-            inside[idx] = True
-            if not inside[0]:
-                return False
-            if not inside[self.parent.inverse_indices()[idx]].all():
-                return False
-            return bool(inside[tbl[np.ix_(idx, idx)]].all())
-        members = set(self.members())
-        if Permutation.identity(self.parent.degree) not in members:
+        inside = np.zeros(self.parent.order(), dtype=bool)
+        inside[idx] = True
+        if not inside[0]:
             return False
-        return all(a * b in members for a in members for b in members) and all(
-            a.inverse() in members for a in members
-        )
+        if not inside[self.parent.inverse_indices()[idx]].all():
+            return False
+        return bool(inside[tbl[np.ix_(idx, idx)]].all())
 
 
 # -- constructors and predicates ----------------------------------------------
@@ -562,11 +539,10 @@ def group_from_generators(
     degree: int,
     gens: Iterable[Permutation],
     enum_cap: int = DEFAULT_ENUM_CAP,
-    table_cap: int = DEFAULT_TABLE_CAP,
 ) -> Group:
     """Group generated by ``gens`` on {0..degree-1}.  An empty list yields
     the trivial group."""
-    return Group(degree, gens, enum_cap, table_cap)
+    return Group(degree, gens, enum_cap)
 
 
 def subgroup_generated(parent: Group, elems: Iterable[Permutation]) -> Group:
@@ -576,7 +552,7 @@ def subgroup_generated(parent: Group, elems: Iterable[Permutation]) -> Group:
     for p in elems:
         if not parent.contains(p):
             raise NotASubgroupError(f"{p} is not an element of the parent group")
-    return Group(parent.degree, elems, parent.enum_cap, parent.table_cap)
+    return Group(parent.degree, elems, parent.enum_cap)
 
 
 def _require_subgroup(G: Group, H: Group) -> None:
@@ -593,12 +569,7 @@ def conjugate_subgroup(G: Group, H: Group, g: Permutation) -> Group:
     if not G.contains(g):
         raise NotASubgroupError(f"{g} is not an element of the group")
     ginv = g.inverse()
-    return Group(
-        G.degree,
-        tuple(ginv * h * g for h in H.generators),
-        G.enum_cap,
-        G.table_cap,
-    )
+    return Group(G.degree, tuple(ginv * h * g for h in H.generators), G.enum_cap)
 
 
 def is_normal(G: Group, H: Group) -> bool:
@@ -613,10 +584,17 @@ def is_normal(G: Group, H: Group) -> bool:
 
 
 def normal_closure(G: Group, H: Group) -> Group:
-    """Smallest normal subgroup of G containing H."""
+    """Smallest normal subgroup of G containing H.
+
+    Up to ``DEFAULT_TABLE_CAP`` it is closed on G's table; above it the
+    conjugates of H's generators are added on the stabilizer chain until
+    stable, which needs neither G's element list nor its table (the
+    derived series of S7 takes milliseconds this way).  The path fixes the
+    generators of the result, and so the witness text of Phi(P).
+    """
     _require_subgroup(G, H)
-    tbl = G.table()
-    if tbl is not None:
+    if G.order() <= DEFAULT_TABLE_CAP:
+        tbl = G.table()
         n = G.order()
         seed = G.indices_of(H) if H.generators else np.array([0], dtype=np.int64)
         member = np.zeros(n, dtype=bool)
@@ -630,9 +608,8 @@ def normal_closure(G: Group, H: Group) -> Group:
                 return G.subgroup_from_indices(cur)
             member[np.concatenate(fresh)] = True
             member[_closure_indices(tbl, np.nonzero(member)[0])] = True
-    # generic path: conjugate generators and re-close until stable
     gens = list(H.generators)
-    K = Group(G.degree, gens, G.enum_cap, G.table_cap)
+    K = Group(G.degree, gens, G.enum_cap)
     queue = list(gens)
     while queue:
         h = queue.pop(0)
@@ -640,7 +617,7 @@ def normal_closure(G: Group, H: Group) -> Group:
             c = g.inverse() * h * g
             if not K.contains(c):
                 gens.append(c)
-                K = Group(G.degree, gens, G.enum_cap, G.table_cap)
+                K = Group(G.degree, gens, G.enum_cap)
                 queue.append(c)
     return K
 
@@ -651,13 +628,10 @@ def centralizer(G: Group, H: Group) -> Group:
     if not H.generators:
         return G
     tbl = G.table()
-    if tbl is not None:
-        keep = np.ones(G.order(), dtype=bool)
-        for h in H.generators:
-            hi = G.element_index(h)
-            keep &= tbl[:, hi] == tbl[hi, :]
-    else:
-        keep = [all(x * h == h * x for h in H.generators) for x in G.elements()]
+    keep = np.ones(G.order(), dtype=bool)
+    for h in H.generators:
+        hi = G.element_index(h)
+        keep &= tbl[:, hi] == tbl[hi, :]
     return G.subgroup_from_indices(np.nonzero(keep)[0])
 
 
@@ -683,13 +657,6 @@ def _scan_normalizer(G: Group, mask: int) -> int:
     n = G.order()
     hidx = indices_from_mask(mask, n)
     tbl = G.table()
-    if tbl is None:
-        elems = G.elements()
-        H = [elems[int(i)] for i in hidx]
-        keep = [
-            i for i, x in enumerate(elems) if {x * h for h in H} == {h * x for h in H}
-        ]
-        return mask_from_indices(keep, n)
     inside = np.zeros(n, dtype=bool)
     inside[hidx] = True
     inv = G.inverse_indices()
@@ -754,16 +721,7 @@ class CosetMap:
     def project_index(self, i: int) -> Permutation:
         p = self._proj_cache.get(i)
         if p is None:
-            tbl = self.source.table()
-            if tbl is not None:
-                imgs = self.coset_of[tbl[self.reps, i]]
-            else:
-                elems = self.source.elements()
-                g = elems[i]
-                imgs = [
-                    self.coset_of[self.source.element_index(elems[int(r)] * g)]
-                    for r in self.reps
-                ]
+            imgs = self.coset_of[self.source.table()[self.reps, i]]
             p = Permutation(tuple(int(v) for v in imgs))
             self._proj_cache[i] = p
         return p
@@ -771,15 +729,8 @@ class CosetMap:
     def projection_indices(self) -> np.ndarray:
         """Array q with q[i] = quotient element index of source element i."""
         if self._proj_idx is None:
-            src = self.source
-            tbl = src.table()
-            if tbl is not None:
-                # row i: the cosets N r * e_i, i.e. the images of e_i's projection
-                rows = self.coset_of[tbl[self.reps]].T
-            else:
-                rows = np.array(
-                    [self.project_index(i).images for i in range(src.order())]
-                )
+            # row i: the cosets N r * e_i, i.e. the images of e_i's projection
+            rows = self.coset_of[self.source.table()[self.reps]].T
             self._proj_idx = self.quotient._indices_of_rows(rows)
         return self._proj_idx
 
@@ -801,30 +752,16 @@ def quotient(G: Group, N: Group) -> CosetMap:
     tbl = G.table()
     coset_of = np.full(n, -1, dtype=np.int64)
     reps: list[int] = []
-    if tbl is not None:
-        nidx = G.indices_of(N)
-        for i in range(n):
-            if coset_of[i] < 0:
-                coset_of[tbl[nidx, i]] = len(reps)
-                reps.append(i)
-    else:
-        elems = G.elements()
-        nelems = N.elements()
-        for i in range(n):
-            if coset_of[i] < 0:
-                for x in nelems:
-                    coset_of[G.element_index(x * elems[i])] = len(reps)
-                reps.append(i)
+    nidx = G.indices_of(N)
+    for i in range(n):
+        if coset_of[i] < 0:
+            coset_of[tbl[nidx, i]] = len(reps)
+            reps.append(i)
     reps_arr = np.array(reps, dtype=np.int64)
     k = len(reps)
     qgens = []
     for g in G.generators:
-        gi = G.element_index(g)
-        if tbl is not None:
-            imgs = coset_of[tbl[reps_arr, gi]]
-        else:
-            elems = G.elements()
-            imgs = [coset_of[G.element_index(elems[int(r)] * g)] for r in reps_arr]
+        imgs = coset_of[tbl[reps_arr, G.element_index(g)]]
         qgens.append(Permutation(tuple(int(v) for v in imgs)))
-    Q = Group(max(k, 1), qgens, G.enum_cap, G.table_cap)
+    Q = Group(max(k, 1), qgens, G.enum_cap)
     return CosetMap(source=G, kernel=N, quotient=Q, coset_of=coset_of, reps=reps_arr)

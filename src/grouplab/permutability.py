@@ -49,19 +49,8 @@ def product_set(G: Group, H: Group | int, K: Group | int) -> ProductSetResult:
     tbl = G.table()
     hidx = G.indices_of(H)
     kidx = G.indices_of(K)
-    if tbl is not None:
-        hk_idx = np.unique(tbl[np.ix_(hidx, kidx)])
-        kh_idx = np.unique(tbl[np.ix_(kidx, hidx)])
-        hk_mask = mask_from_indices(hk_idx, n)
-        kh_mask = mask_from_indices(kh_idx, n)
-    else:
-        elems = G.elements()
-        helems = [elems[int(i)] for i in hidx]
-        kelems = [elems[int(i)] for i in kidx]
-        hk_set = {G.element_index(h * k) for h in helems for k in kelems}
-        kh_set = {G.element_index(k * h) for h in helems for k in kelems}
-        hk_mask = mask_from_indices(np.fromiter(hk_set, dtype=np.int64), n)
-        kh_mask = mask_from_indices(np.fromiter(kh_set, dtype=np.int64), n)
+    hk_mask = mask_from_indices(np.unique(tbl[np.ix_(hidx, kidx)]), n)
+    kh_mask = mask_from_indices(np.unique(tbl[np.ix_(kidx, hidx)]), n)
     inter = (mask_from_indices(hidx, n) & mask_from_indices(kidx, n)).bit_count()
     expected = len(hidx) * len(kidx) // inter
     if hk_mask.bit_count() != expected or kh_mask.bit_count() != expected:

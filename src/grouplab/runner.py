@@ -284,7 +284,6 @@ def _chain_spec(ng, check_ids, mode, lattice_cap, abort_on_violation) -> tuple:
         g.degree,
         tuple(p.images for p in g.generators),
         g.enum_cap,
-        g.table_cap,
         tuple(check_ids),
         mode.value,
         lattice_cap,
@@ -300,13 +299,12 @@ def _run_chain_spec(spec) -> list[VerificationRecord]:
         degree,
         gen_images,
         enum_cap,
-        table_cap,
         check_ids,
         mode_value,
         lattice_cap,
         abort_on_violation,
     ) = spec
-    G = Group(degree, [Permutation(im) for im in gen_images], enum_cap, table_cap)
+    G = Group(degree, [Permutation(im) for im in gen_images], enum_cap)
     ng = NamedGroup(name, G)
     tasks = []
     for check in check_ids:
@@ -407,6 +405,6 @@ def with_enum_cap(ng: NamedGroup, enum_cap: int) -> NamedGroup:
     g = ng.group
     return NamedGroup(
         ng.name,
-        Group(g.degree, g.generators, enum_cap=enum_cap, table_cap=g.table_cap),
+        Group(g.degree, g.generators, enum_cap=enum_cap),
         ng.provenance,
     )

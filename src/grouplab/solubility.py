@@ -65,7 +65,7 @@ def chief_series(G: Group) -> ChiefSeries:
     if cached is not None:
         return ChiefSeries(G, *cached)
     n = G.order()
-    tbl = G.table(force=True)
+    tbl = G.table()
     atoms = [(a, a.bit_count()) for a in _normal_atom_masks(G)]
     cur = 1
     masks = [cur]
@@ -114,7 +114,7 @@ def derived_series_masks(G: Group) -> list[int]:
     if cached is not None:
         return cached
     n = G.order()
-    tbl = G.table(force=True)
+    tbl = G.table()
     inv = G.inverse_indices()
     cur = np.arange(n)
     masks = [(1 << n) - 1]

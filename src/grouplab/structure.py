@@ -102,7 +102,7 @@ def sylow_subgroup(G: Group, p: int) -> Group:
         raise ValueError(f"{p} is not prime")
     target = p_part(G.order(), p)
     if target == 1:
-        return Group(G.degree, (), G.enum_cap, G.table_cap)
+        return Group(G.degree, (), G.enum_cap)
     if target == G.order():
         return G
     seed = None
@@ -141,45 +141,20 @@ def all_sylow_subgroups(G: Group, p: int) -> SylowSystem:
         # 1 and G are the index prefixes of lengths 1 and |G|; not cached,
         # as rep may be G and costs nothing to find again
         return SylowSystem(G, p, rep, [rep], [(1 << rep.order()) - 1])
-    tbl = G.table()
-    seen_masks = {}
-    if tbl is not None:
-        cvecs = [G.conjugation_vector(G.element_index(g)) for g in G.generators]
-        start = G.indices_of(rep)
-        m0 = mask_from_indices(start, G.order())
-        seen_masks[m0] = start
-        queue = [start]
-        while queue:
-            idx = queue.pop(0)
-            for cv in cvecs:
-                conj = np.sort(cv[idx])
-                m = mask_from_indices(conj, G.order())
-                if m not in seen_masks:
-                    seen_masks[m] = conj
-                    queue.append(conj)
-        masks = sorted(seen_masks)
-        groups = [G.subgroup_from_indices(seen_masks[m]) for m in masks]
-    else:
-        seen = {}
-        queue = [rep]
-        key_of = lambda H: tuple(sorted(x.images for x in H.elements()))
-        seen[key_of(rep)] = rep
-        while queue:
-            H = queue.pop(0)
-            for g in G.generators:
-                ginv = g.inverse()
-                Hg = Group(
-                    G.degree,
-                    tuple(ginv * h * g for h in H.generators),
-                    G.enum_cap,
-                    G.table_cap,
-                )
-                k = key_of(Hg)
-                if k not in seen:
-                    seen[k] = Hg
-                    queue.append(Hg)
-        groups = [seen[k] for k in sorted(seen)]
-        masks = [G.mask_of(H) for H in groups]
+    cvecs = [G.conjugation_vector(G.element_index(g)) for g in G.generators]
+    start = G.indices_of(rep)
+    seen_masks = {mask_from_indices(start, G.order()): start}
+    queue = [start]
+    while queue:
+        idx = queue.pop(0)
+        for cv in cvecs:
+            conj = np.sort(cv[idx])
+            m = mask_from_indices(conj, G.order())
+            if m not in seen_masks:
+                seen_masks[m] = conj
+                queue.append(conj)
+    masks = sorted(seen_masks)
+    groups = [G.subgroup_from_indices(seen_masks[m]) for m in masks]
     G.cache[key] = (rep, groups, masks)
     return SylowSystem(G, p, rep, groups, masks)
 
@@ -236,7 +211,7 @@ def _cyclic_masks(G: Group, idx: np.ndarray) -> list[int]:
     table, one row of a ``(len(idx), |G|)`` bool block each, until every
     power has come back to the identity.
     """
-    tbl = G.table(force=True)
+    tbl = G.table()
     idx = np.asarray(idx, dtype=np.int64)
     block = np.zeros((len(idx), G.order()), dtype=bool)
     block[:, 0] = True
@@ -255,7 +230,7 @@ def _closure_lattice(G: Group, r_idx: np.ndarray) -> set[int]:
     of known subgroups with cyclic subgroups until nothing new appears.
     For R = 1 this is {1}."""
     n = G.order()
-    tbl = G.table(force=True)
+    tbl = G.table()
     cyclic_list = sorted(set(_cyclic_masks(G, r_idx[1:])))
     idx_of = {m: indices_from_mask(m, n) for m in cyclic_list}
     idx_of[1] = np.array([0], dtype=np.int64)
@@ -307,7 +282,7 @@ def lattice_masks(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[int]
         return cached
     from .solubility import derived_series_masks  # solubility imports structure
 
-    tbl = G.table(force=True)
+    tbl = G.table()
     ident = np.arange(n)
     powers = {}
     for p in prime_factors(n):
@@ -372,7 +347,6 @@ def _conjugacy_class_indices(G: Group) -> list[np.ndarray]:
     cached = G.cache.get("classes")
     if cached is not None:
         return cached
-    G.table(force=True)
     n = G.order()
     cvecs = [G.conjugation_vector(G.element_index(g)) for g in G.generators]
     ident = np.arange(n)
@@ -418,7 +392,7 @@ def _normal_atom_masks(G: Group) -> list[int]:
     cached = G.cache.get("normal_atoms")
     if cached is not None:
         return cached
-    tbl = G.table(force=True)
+    tbl = G.table()
     n = G.order()
     classes = _conjugacy_class_indices(G)[1:]  # the first is {identity}
     reps = np.array([cls[0] for cls in classes], dtype=np.int64)
@@ -452,7 +426,7 @@ def normal_subgroup_masks(G: Group) -> list[int]:
     cached = G.cache.get("normal_masks")
     if cached is not None:
         return cached
-    tbl = G.table(force=True)
+    tbl = G.table()
     n = G.order()
     result = {1}
     idx_of = {1: np.array([0], dtype=np.int64)}
@@ -531,13 +505,11 @@ def _p_group_frame(P: Group) -> tuple[int, Group, tuple[Permutation, ...], int]:
     p = p_group_prime(P)
     phi = frattini_p_group(P)
     basis: list[Permutation] = []
-    span = Group(P.degree, phi.generators, P.enum_cap, P.table_cap)
+    span = Group(P.degree, phi.generators, P.enum_cap)
     for g in P.generators:
         if not span.contains(g):
             basis.append(g)
-            span = Group(
-                P.degree, phi.generators + tuple(basis), P.enum_cap, P.table_cap
-            )
+            span = Group(P.degree, phi.generators + tuple(basis), P.enum_cap)
     d = 0
     q = P.order() // phi.order()
     while q > 1:
@@ -605,9 +577,7 @@ def _maximal_data(P: Group) -> tuple[list[tuple[int, ...]], list[Group]]:
             if j == lead:
                 continue
             gens.append(lift(j, lead, (p - vec[j]) % p))
-        maximals.append(
-            Group(P.degree, gens, P.enum_cap, P.table_cap)
-        )
+        maximals.append(Group(P.degree, gens, P.enum_cap))
     P.cache["pmaximals"] = (functionals, maximals)
     return P.cache["pmaximals"]
 
@@ -700,11 +670,11 @@ def o_p_prime(G: Group, p: int) -> Group:
     """
     atoms = [m for m in _normal_atom_masks(G) if m.bit_count() % p != 0]
     if not atoms:
-        return Group(G.degree, (), G.enum_cap, G.table_cap)
+        return Group(G.degree, (), G.enum_cap)
     seed = 1
     for m in atoms:
         seed |= m
-    tbl = G.table(force=True)
+    tbl = G.table()
     closed = _closure_indices(tbl, indices_from_mask(seed, G.order()))
     joined = mask_from_indices(closed, G.order())
     if joined.bit_count() % p == 0:
@@ -715,13 +685,9 @@ def o_p_prime(G: Group, p: int) -> Group:
 def p_residual(G: Group, p: int) -> Group:
     """O^p(G): the subgroup generated by all elements of order coprime to p
     (smallest normal subgroup with p-group quotient)."""
-    tbl = G.table(force=False)
-    elems = G.elements()
-    pprime = [i for i, x in enumerate(elems) if x.order() % p != 0]
-    if tbl is not None:
-        closed = _closure_indices(tbl, np.array(pprime, dtype=np.int64))
-        return G.subgroup_from_indices(closed)
-    return subgroup_generated(G, [elems[i] for i in pprime])
+    pprime = [i for i, x in enumerate(G.elements()) if x.order() % p != 0]
+    closed = _closure_indices(G.table(), np.array(pprime, dtype=np.int64))
+    return G.subgroup_from_indices(closed)
 
 
 # -- Hall subgroups and complements --------------------------------------------

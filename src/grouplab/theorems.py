@@ -617,7 +617,7 @@ def verify_lemma_2_4(
     """Complements of coprime abelian normal subgroups lift to the group."""
     t0 = time.perf_counter()
     lat = lattice_masks(G, lattice_cap)
-    tbl = G.table(force=True)
+    tbl = G.table()
     n = G.order()
     full = (1 << n) - 1
     inst, sampled = [], False

@@ -18,6 +18,13 @@ def test_info_builtin(capsys):
     assert "supersoluble: False" in out
 
 
+def test_info_above_enum_cap_skips_what_needs_elements(capsys):
+    code, out, err = run_cli(capsys, "--enum-cap", "100", "info", "builtin:S5")
+    assert code == 0 and err == ""
+    assert "sylow p=2: order 8, count ?, d_p ?" in out
+    assert "class predicates: skipped (order above enumeration cap)" in out
+
+
 def test_info_file(tmp_path, capsys):
     path = tmp_path / "g.grp"
     path.write_text(write_group_file(named_group("D8")))

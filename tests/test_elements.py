@@ -21,20 +21,10 @@ from grouplab.corpus import (
     elementary_abelian,
     symmetric,
 )
-from grouplab.groups import (
-    Group,
-    centralizer,
-    intersection,
-    normal_closure,
-    quotient,
-)
+from grouplab import groups
+from grouplab.groups import Group, normal_closure
 from grouplab.perms import Permutation
-from grouplab.structure import (
-    lattice_masks,
-    normal_subgroup_masks,
-    p_residual,
-    primes_of,
-)
+from grouplab.structure import lattice_masks, normal_subgroup_masks
 from grouplab.theorems import (
     HypothesisMode,
     verify_lemma_2_1,
@@ -58,7 +48,7 @@ def check_against_loop(G: Group, pairs=None):
     by image tuple; ``pairs`` limits the table check to those (i, j)."""
     elems = G.elements()
     index = {p: i for i, p in enumerate(elems)}
-    tbl = G.table(force=True)
+    tbl = G.table()
     n = len(elems)
     if pairs is None:
         pairs = itertools.product(range(n), repeat=2)
@@ -131,7 +121,7 @@ def test_table_build_memory_stays_near_the_table():
     G = Group(G.degree, G.generators)
     tracemalloc.start()
     try:
-        tbl = G.table(force=True)
+        tbl = G.table()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -170,39 +160,16 @@ NO_TABLE = {
 
 
 @pytest.mark.parametrize("name", sorted(NO_TABLE))
-def test_remaining_no_table_fallbacks_agree(name):
+def test_remaining_no_table_fallbacks_agree(name, monkeypatch):
+    """normal_closure on the stabilizer chain, which runs above
+    DEFAULT_TABLE_CAP, gives the table path's subgroups."""
     ref = NO_TABLE[name]()
-    bare = Group(ref.degree, ref.generators, table_cap=1)
     masks = lattice_masks(ref)
     picks = masks[1 :: max(1, len(masks) // 6)]
-    for m in picks:
-        H_ref, H = ref.subgroup_from_mask(m), bare.subgroup_from_mask(m)
-        assert bare.mask_of(normal_closure(bare, H)) == ref.mask_of(
-            normal_closure(ref, H_ref)
-        )
-        assert bare.mask_of(centralizer(bare, H)) == ref.mask_of(
-            centralizer(ref, H_ref)
-        )
-        for km in picks:
-            K_ref, K = ref.subgroup_from_mask(km), bare.subgroup_from_mask(km)
-            assert bare.mask_of(intersection(bare, H, K)) == ref.mask_of(
-                intersection(ref, H_ref, K_ref)
-            )
-    for nm in normal_subgroup_masks(ref):
-        cm_ref = quotient(ref, ref.subgroup_from_mask(nm))
-        cm = quotient(bare, bare.subgroup_from_mask(nm))
-        assert cm.quotient.elements() == cm_ref.quotient.elements()
-        assert np.array_equal(cm.coset_of, cm_ref.coset_of)
-        assert [cm.image_mask(m) for m in masks] == [
-            cm_ref.image_mask(m) for m in masks
-        ]
-    assert bare._table is None
-
-
-@pytest.mark.parametrize("name", sorted(NO_TABLE))
-def test_p_residual_no_table_fallback_agrees(name):
-    ref = NO_TABLE[name]()
-    bare = Group(ref.degree, ref.generators, table_cap=1)
-    for p in primes_of(ref):
-        assert bare.mask_of(p_residual(bare, p)) == ref.mask_of(p_residual(ref, p))
-    assert bare._table is None
+    subgroups = [ref.subgroup_from_mask(m) for m in picks]
+    want = [ref.mask_of(normal_closure(ref, H)) for H in subgroups]
+    monkeypatch.setattr(groups, "DEFAULT_TABLE_CAP", 0)
+    bare = Group(ref.degree, ref.generators)
+    got = [normal_closure(bare, Group(H.degree, H.generators)) for H in subgroups]
+    assert bare._table is None and bare._elements is None
+    assert [ref.mask_of(K) for K in got] == want

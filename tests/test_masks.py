@@ -1,13 +1,12 @@
 """Subgroups given as masks over the parent's element index must give the
-same answers as the same subgroups given as Groups, on the table path and
-on the no-table fallbacks, and the lemma suites build witness text only
-for a counterexample."""
+same answers as the same subgroups given as Groups, and the lemma suites
+build witness text only for a counterexample."""
 
 import pytest
 
 import naive
 from grouplab import theorems
-from grouplab.corpus import cyclic, dihedral, direct_product, symmetric
+from grouplab.corpus import dihedral, symmetric
 from grouplab.errors import DEFAULT_LATTICE_CAP
 from grouplab.groups import Group, is_subnormal, normalizer
 from grouplab.permutability import (
@@ -19,9 +18,9 @@ from grouplab.permutability import (
 from grouplab.structure import lattice_masks
 
 
-def fresh(G: Group, **caps) -> Group:
+def fresh(G: Group) -> Group:
     """A copy of G with empty caches (same canonical element index)."""
-    return Group(G.degree, G.generators, **caps)
+    return Group(G.degree, G.generators)
 
 
 def naive_subnormal(E: frozenset, H: frozenset) -> bool:
@@ -78,36 +77,6 @@ def test_mask_within_overgroup(name, request):
                 assert theorems._mask_within(G, km, m) == K.mask_of(H)
                 pairs += 1
     assert pairs > len(masks)
-
-
-NO_TABLE = {
-    "S4": lambda: symmetric(4),
-    "D24": lambda: dihedral(24),
-    "C3xS3": lambda: direct_product(cyclic(3), symmetric(3)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(NO_TABLE))
-def test_no_table_fallbacks_agree(name):
-    ref = NO_TABLE[name]()
-    bare = fresh(ref, table_cap=1)
-    masks = lattice_masks(ref)
-    picks = masks[1 :: max(1, len(masks) // 6)]
-    for m in picks:
-        H = bare.subgroup_from_mask(m)
-        assert is_s_semipermutable(bare, m) == is_s_semipermutable(ref, m)
-        assert is_s_semipermutable(fresh(ref, table_cap=1), H) == (
-            is_s_semipermutable(ref, m)
-        )
-        assert bare.mask_of(normalizer(bare, H)) == ref.mask_of(
-            normalizer(ref, ref.subgroup_from_mask(m))
-        )
-        assert is_subnormal(bare, m) == is_subnormal(bare, H) == is_subnormal(ref, m)
-        for km in picks:
-            a = product_set(bare, m, km)
-            b = product_set(ref, m, km)
-            assert (a.hk.mask, a.kh.mask, a.equal) == (b.hk.mask, b.kh.mask, b.equal)
-    assert bare._table is None
 
 
 def test_clean_lemma_runs_format_no_witness(monkeypatch):
