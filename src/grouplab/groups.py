@@ -586,28 +586,16 @@ def is_normal(G: Group, H: Group) -> bool:
 def normal_closure(G: Group, H: Group) -> Group:
     """Smallest normal subgroup of G containing H.
 
-    Up to ``DEFAULT_TABLE_CAP`` it is closed on G's table; above it the
-    conjugates of H's generators are added on the stabilizer chain until
-    stable, which needs neither G's element list nor its table (the
-    derived series of S7 takes milliseconds this way).  The path fixes the
-    generators of the result, and so the witness text of Phi(P).
+    Up to ``DEFAULT_TABLE_CAP`` it is closed on G's table
+    (:func:`_normal_closure_indices`); above it the conjugates of H's
+    generators are added on the stabilizer chain until stable, which needs
+    neither G's element list nor its table (the derived series of S7 takes
+    milliseconds this way).  The path fixes the generators of the result,
+    and so the witness text of Phi(P).
     """
     _require_subgroup(G, H)
     if G.order() <= DEFAULT_TABLE_CAP:
-        tbl = G.table()
-        n = G.order()
-        seed = G.indices_of(H) if H.generators else np.array([0], dtype=np.int64)
-        member = np.zeros(n, dtype=bool)
-        member[_closure_indices(tbl, seed)] = True
-        cvecs = [G.conjugation_vector(G.element_index(g)) for g in G.generators]
-        while True:
-            cur = np.nonzero(member)[0]
-            fresh = [cv[cur][~member[cv[cur]]] for cv in cvecs]
-            fresh = [f for f in fresh if f.size]
-            if not fresh:
-                return G.subgroup_from_indices(cur)
-            member[np.concatenate(fresh)] = True
-            member[_closure_indices(tbl, np.nonzero(member)[0])] = True
+        return G.subgroup_from_indices(_normal_closure_indices(G, H))
     gens = list(H.generators)
     K = Group(G.degree, gens, G.enum_cap)
     queue = list(gens)
@@ -620,6 +608,24 @@ def normal_closure(G: Group, H: Group) -> Group:
                 K = Group(G.degree, gens, G.enum_cap)
                 queue.append(c)
     return K
+
+
+def _normal_closure_indices(G: Group, H: Group | int) -> np.ndarray:
+    """Indices of the normal closure of H (a subgroup or its mask) on G's
+    table: closed alternately under products and under conjugation by G's
+    generators until stable."""
+    tbl = G.table()
+    member = np.zeros(G.order(), dtype=bool)
+    member[_closure_indices(tbl, G.indices_of(H))] = True
+    cvecs = [G.conjugation_vector(G.element_index(g)) for g in G.generators]
+    while True:
+        cur = np.nonzero(member)[0]
+        fresh = [cv[cur][~member[cv[cur]]] for cv in cvecs]
+        fresh = [f for f in fresh if f.size]
+        if not fresh:
+            return cur
+        member[np.concatenate(fresh)] = True
+        member[_closure_indices(tbl, np.nonzero(member)[0])] = True
 
 
 def centralizer(G: Group, H: Group) -> Group:
@@ -708,23 +714,14 @@ class CosetMap:
     """
 
     source: Group
-    kernel: Group
     quotient: Group
     coset_of: np.ndarray
     reps: np.ndarray
-    _proj_cache: dict = field(default_factory=dict, repr=False)
     _proj_idx: np.ndarray | None = field(default=None, repr=False)
 
     def project(self, g: Permutation) -> Permutation:
-        return self.project_index(self.source.element_index(g))
-
-    def project_index(self, i: int) -> Permutation:
-        p = self._proj_cache.get(i)
-        if p is None:
-            imgs = self.coset_of[self.source.table()[self.reps, i]]
-            p = Permutation(tuple(int(v) for v in imgs))
-            self._proj_cache[i] = p
-        return p
+        i = self.projection_indices()[self.source.element_index(g)]
+        return self.quotient.element_at(int(i))
 
     def projection_indices(self) -> np.ndarray:
         """Array q with q[i] = quotient element index of source element i."""
@@ -734,34 +731,25 @@ class CosetMap:
             self._proj_idx = self.quotient._indices_of_rows(rows)
         return self._proj_idx
 
-    def image_mask(self, mask: int) -> int:
-        proj = self.projection_indices()
-        idx = np.unique(proj[indices_from_mask(mask, self.source.order())])
-        return mask_from_indices(idx, self.quotient.order())
 
+def quotient(G: Group, N: Group | int) -> CosetMap:
+    """G/N via the right-multiplication action on cosets of N, which may be
+    a subgroup or its mask over G's index.
 
-def quotient(G: Group, N: Group) -> CosetMap:
-    """G/N via the right-multiplication action on cosets of N.
-
-    Raises NotNormalError when N is not normal in G (the action kernel
-    would exceed N).
+    Cosets are numbered by their least element.  Raises NotNormalError when
+    N is not normal in G (the action kernel would exceed N).
     """
-    if not is_normal(G, N):
-        raise NotNormalError("kernel of a quotient must be a normal subgroup")
-    n = G.order()
-    tbl = G.table()
-    coset_of = np.full(n, -1, dtype=np.int64)
-    reps: list[int] = []
     nidx = G.indices_of(N)
-    for i in range(n):
-        if coset_of[i] < 0:
-            coset_of[tbl[nidx, i]] = len(reps)
-            reps.append(i)
-    reps_arr = np.array(reps, dtype=np.int64)
-    k = len(reps)
+    inside = np.zeros(G.order(), dtype=bool)
+    inside[nidx] = True
+    for g in G.generators:
+        if not inside[G.conjugation_vector(G.element_index(g))[nidx]].all():
+            raise NotNormalError("kernel of a quotient must be a normal subgroup")
+    tbl = G.table()
+    reps, coset_of = np.unique(tbl[nidx].min(axis=0), return_inverse=True)
     qgens = []
     for g in G.generators:
-        imgs = coset_of[tbl[reps_arr, G.element_index(g)]]
+        imgs = coset_of[tbl[reps, G.element_index(g)]]
         qgens.append(Permutation(tuple(int(v) for v in imgs)))
-    Q = Group(max(k, 1), qgens, G.enum_cap)
-    return CosetMap(source=G, kernel=N, quotient=Q, coset_of=coset_of, reps=reps_arr)
+    Q = Group(max(len(reps), 1), qgens, G.enum_cap)
+    return CosetMap(source=G, quotient=Q, coset_of=coset_of, reps=reps)

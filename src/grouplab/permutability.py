@@ -8,6 +8,8 @@ A subgroup argument is either a :class:`Group` or its bitmask over the
 parent's element index (``G.mask_of(H)``); the predicates work on masks
 throughout, comparing against the Sylow masks of ``SylowSystem.masks`` and
 the lattice masks, so no subgroup ``Group`` is built on their account.
+The same Sylow loop decides a predicate inside an overgroup K of H when
+given K's Sylow masks in G's index, so K is never built either.
 
 Predicate results are cached per (parent, element-set mask): the theorem
 harness evaluates the same maximal subgroups many times.  Caching is
@@ -77,13 +79,22 @@ def _cached_predicate(G: Group, tag: str, H: Group | int, fn) -> bool:
     return hit
 
 
-def _permutes_with_sylows(G: Group, mask: int, coprime_only: bool) -> bool:
+def _permutes_with_sylows(
+    G: Group, mask: int, coprime_only: bool, sylows=None
+) -> bool:
+    """Whether the subgroup with this mask permutes with every mask in
+    ``sylows(q)``, for each prime q of |G| (only those not dividing its
+    order when ``coprime_only``).  ``sylows(q)`` defaults to G's Sylow
+    q-subgroups; the masks of an overgroup K's Sylow subgroups instead
+    decide the predicate in K, since HL is the same set in K as in G."""
+    if sylows is None:
+        sylows = lambda q: all_sylow_subgroups(G, q).masks
     h_order = mask.bit_count()
     return all(
         product_set(G, mask, Q).equal
         for q in primes_of(G)
         if not (coprime_only and h_order % q == 0)
-        for Q in all_sylow_subgroups(G, q).masks
+        for Q in sylows(q)
     )
 
 

@@ -101,23 +101,27 @@ def derived_subgroup(G: Group) -> Group:
     return normal_closure(G, subgroup_generated(G, comms))
 
 
-def derived_series_masks(G: Group) -> list[int]:
-    """Masks of the derived series G = G^(0) > G^(1) > ... on G's table,
-    ending at the first perfect term, the soluble residual G^(∞) (the
-    mask 1 when G is soluble).
+def derived_series_masks(G: Group, start: int | None = None) -> list[int]:
+    """Masks of the derived series H = H^(0) > H^(1) > ... on G's table,
+    for the subgroup H of G with mask ``start`` (G itself by default),
+    ending at the first perfect term, the soluble residual H^(∞) (the mask
+    1 when H is soluble).
 
     [H, H] is the closure of the commutators of H's elements; they are
     gathered for blocks of H's elements at a time, each block of at most
-    2^18 commutators, so memory stays bounded.  G's cache keeps the masks.
+    2^18 commutators, so memory stays bounded.  G's cache keeps the masks
+    of each start.
     """
-    cached = G.cache.get("derived_masks")
+    n = G.order()
+    start = (1 << n) - 1 if start is None else start
+    known = G.cache.setdefault("derived_masks", {})
+    cached = known.get(start)
     if cached is not None:
         return cached
-    n = G.order()
     tbl = G.table()
     inv = G.inverse_indices()
-    cur = np.arange(n)
-    masks = [(1 << n) - 1]
+    cur = indices_from_mask(start, n)
+    masks = [start]
     while len(cur) > 1:
         member = np.zeros(n, dtype=bool)
         step = max(1, (1 << 18) // len(cur))
@@ -129,7 +133,7 @@ def derived_series_masks(G: Group) -> list[int]:
             break
         cur = nxt
         masks.append(mask_from_indices(cur, n))
-    G.cache["derived_masks"] = masks
+    known[start] = masks
     return masks
 
 

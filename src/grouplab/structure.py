@@ -162,42 +162,6 @@ def all_sylow_subgroups(G: Group, p: int) -> SylowSystem:
 # -- the subgroup lattice ------------------------------------------------------
 
 
-def _join_subgroup_indices(
-    tbl: np.ndarray, n: int, a_idx: np.ndarray, z_idx: np.ndarray, inter: int
-) -> np.ndarray:
-    """Indices of the join of two subgroups given by their index sets.
-
-    Stops after the first product round when the member count equals
-    |A||Z|/|A∩Z|: the product set is then already closed, which covers the
-    common case of one factor normalizing the other.  Only the closure
-    that builds the soluble residual's lattice (``_closure_lattice``) joins
-    subgroups this way.
-    """
-    expected = len(a_idx) * len(z_idx) // inter
-    member = np.zeros(n, dtype=bool)
-    member[a_idx] = True
-    member[z_idx] = True
-    frontier = z_idx[~np.isin(z_idx, a_idx, assume_unique=True)]
-    first = True
-    while frontier.size:
-        cur = np.nonzero(member)[0]
-        prods = np.unique(
-            np.concatenate(
-                [
-                    tbl[frontier[:, None], cur].ravel(),
-                    tbl[cur[:, None], frontier].ravel(),
-                ]
-            )
-        )
-        fresh = prods[~member[prods]]
-        member[fresh] = True
-        if first and int(member.sum()) == expected:
-            break
-        first = False
-        frontier = fresh
-    return np.nonzero(member)[0]
-
-
 def _row_masks(block: np.ndarray) -> list[int]:
     """The mask of each row of a bool block over G's index."""
     packed = np.packbits(block, axis=1, bitorder="little")
@@ -243,8 +207,8 @@ def _closure_lattice(G: Group, r_idx: np.ndarray) -> set[int]:
             for z in cyclic_list:
                 if a | z == a:
                     continue
-                inter = (a & z).bit_count()
-                j_idx = _join_subgroup_indices(tbl, n, a_idx, idx_of[z], inter)
+                seed = np.union1d(a_idx, idx_of[z])
+                j_idx = _closure_indices(tbl, seed, closed=a_idx)
                 j = mask_from_indices(j_idx, n)
                 if j not in subs:
                     subs.add(j)
@@ -658,7 +622,12 @@ def o_p(G: Group, p: int) -> Group:
     system = all_sylow_subgroups(G, p)
     if system.representative.is_trivial:
         return system.representative
-    return G.subgroup_from_mask(reduce(operator.and_, system.masks))
+    return G.subgroup_from_mask(_o_p_mask(G, p))
+
+
+def _o_p_mask(G: Group, p: int) -> int:
+    """Mask of O_p(G) over G's index."""
+    return reduce(operator.and_, all_sylow_subgroups(G, p).masks)
 
 
 def o_p_prime(G: Group, p: int) -> Group:
@@ -685,9 +654,14 @@ def o_p_prime(G: Group, p: int) -> Group:
 def p_residual(G: Group, p: int) -> Group:
     """O^p(G): the subgroup generated by all elements of order coprime to p
     (smallest normal subgroup with p-group quotient)."""
+    return G.subgroup_from_mask(_p_residual_mask(G, p))
+
+
+def _p_residual_mask(G: Group, p: int) -> int:
+    """Mask of O^p(G) over G's index."""
     pprime = [i for i, x in enumerate(G.elements()) if x.order() % p != 0]
     closed = _closure_indices(G.table(), np.array(pprime, dtype=np.int64))
-    return G.subgroup_from_indices(closed)
+    return mask_from_indices(closed, G.order())
 
 
 # -- Hall subgroups and complements --------------------------------------------

@@ -16,11 +16,11 @@ Both shortcuts are differential-tested against direct family enumeration.
 Lemma suites enumerate their quantified instances from the subgroup
 lattice.  Each part stops at a fixed deterministic instance budget and
 flags the record as sampled when it does; counts are always reported.
-Subgroups are the lattice's bitmasks over G's element index throughout; a
-subgroup becomes a :class:`Group` only where it acts as a group in its own
-right (the parent of a restriction, the kernel of a quotient, the input of
-a normal closure).  An instance is a (holds, detail thunk) pair, and only
-the first counterexample's detail text is ever built.
+Subgroups are the lattice's bitmasks over G's element index throughout,
+and every predicate, closure and core is computed on G's own table; G/N
+is built only as the quotient group itself.  An instance is a (holds,
+detail thunk) pair, and a subgroup becomes a :class:`Group` only for the
+first counterexample's detail text.
 """
 
 from __future__ import annotations
@@ -36,32 +36,37 @@ import numpy as np
 from .errors import DEFAULT_LATTICE_CAP, LatticeCapError
 from .groups import (
     Group,
+    _normal_closure_indices,
     _normalizer_mask,
     indices_from_mask,
     is_subnormal,
     mask_from_indices,
-    normal_closure,
     normalizer,
     quotient,
 )
-from .permutability import is_s_permutable, is_s_semipermutable, product_set
+from .permutability import (
+    _permutes_with_sylows,
+    is_s_permutable,
+    is_s_semipermutable,
+    product_set,
+)
 from .solubility import (
+    derived_series_masks,
     is_p_nilpotent,
     is_p_soluble,
     is_p_supersoluble,
-    is_soluble,
     is_supersoluble,
 )
 from .structure import (
     _maximal_data,
+    _o_p_mask,
+    _p_residual_mask,
     _rank_mod_p,
-    all_subgroups,
     all_sylow_subgroups,
     lattice_masks,
     normal_subgroup_masks,
-    o_p,
     p_part,
-    p_residual,
+    prime_factors,
     primes_of,
     smallest_generator_number,
     sylow_subgroup,
@@ -164,13 +169,14 @@ def main_hypothesis(
     passing = [
         i for i, M in enumerate(maximals) if is_s_semipermutable(G, M)
     ]
+    passed = set(passing)
     wit["passing_count"] = len(passing)
     if mode is HypothesisMode.FORALL:
         # every maximal subgroup lies in some family, so "all families" is
         # equivalent to every maximal subgroup passing
         if len(passing) == len(maximals):
             return True, wit
-        failing = next(i for i in range(len(maximals)) if i not in set(passing))
+        failing = next(i for i in range(len(maximals)) if i not in passed)
         wit["failing_member"] = _fmt_group(maximals[failing])
         wit["failure"] = _ssp_failure(G, maximals[failing])
         return False, wit
@@ -185,7 +191,7 @@ def main_hypothesis(
         wit["family"] = [_fmt_group(maximals[i]) for i in basis]
         return True, wit
     wit["passing_rank"] = len(basis)
-    failing = [i for i in range(len(maximals)) if i not in set(passing)]
+    failing = [i for i in range(len(maximals)) if i not in passed]
     if failing:
         wit["failing_member"] = _fmt_group(maximals[failing[0]])
         wit["failure"] = _ssp_failure(G, maximals[failing[0]])
@@ -293,7 +299,7 @@ def _quotient(G: Group, nm: int) -> tuple[Group, np.ndarray]:
     CosetMap, whose source is G, so that it makes no reference cycle."""
 
     def build():
-        cm = quotient(G, _standalone(G, nm))
+        cm = quotient(G, nm)
         return cm.quotient, cm.projection_indices()
 
     return _cached(G, ("quotient", nm), build)
@@ -312,20 +318,27 @@ def _p_subgroup_prime(G: Group, mask: int) -> int | None:
     return next((p for p in primes_of(G) if n > 1 and n == p_part(n, p)), None)
 
 
-def _mask_within(G: Group, outer: int, inner: int) -> int:
-    """Mask of a subgroup over the element index of an overgroup of it.
-    The overgroup's sorted elements are G's elements at its indices, in
-    order, so the positions come from a search in those indices."""
-    o_idx = indices_from_mask(outer, G.order())
-    pos = np.searchsorted(o_idx, indices_from_mask(inner, G.order()))
-    return mask_from_indices(pos, len(o_idx))
+def _sylows_within(G: Group, lat: list[int], km: int) -> dict[int, list[int]]:
+    """Masks of the Sylow subgroups of the subgroup K with mask ``km``, by
+    prime of |K|: the members L of G's lattice with L ⊆ K and |L| = |K|_q."""
+
+    def build():
+        k = km.bit_count()
+        return {
+            q: [L for L in lat if L.bit_count() == p_part(k, q) and L | km == km]
+            for q in prime_factors(k)
+        }
+
+    return _cached(G, ("sylows within", km), build)
 
 
 def _restriction_part(
-    G: Group, lat: list[int], masks: list[int], predicate
+    G: Group, lat: list[int], masks: list[int], coprime_only: bool
 ) -> tuple[list, bool]:
-    """predicate(K, H in K) for the first RESTRICTION_SAMPLES proper
-    overgroups K of each H."""
+    """Whether each H permutes with the Sylow subgroups of its first
+    RESTRICTION_SAMPLES proper overgroups K (only those of coprime order
+    when ``coprime_only``): the s-permutability or s-semipermutability of
+    H in K, decided in G."""
     inst, sampled = [], False
     for m in masks:
         if len(inst) >= PART_BUDGET:
@@ -334,7 +347,10 @@ def _restriction_part(
         picked = 0
         for km in lat:
             if km != m and km | m == km:
-                holds = predicate(_standalone(G, km), _mask_within(G, km, m))
+                sylows = _sylows_within(G, lat, km)
+                holds = _permutes_with_sylows(
+                    G, m, coprime_only, lambda q: sylows.get(q, [])
+                )
                 inst.append((holds, _detail(G, {"subgroup": m, "intermediate": km})))
                 picked += 1
                 if picked >= RESTRICTION_SAMPLES:
@@ -364,7 +380,7 @@ def verify_lemma_2_1(
 
     # (2) restriction to intermediate subgroups, sampled
     t0 = time.perf_counter()
-    inst, sampled = _restriction_part(G, lat, sp, is_s_permutable)
+    inst, sampled = _restriction_part(G, lat, sp, False)
     records.append(
         _part_record("lemma-2.1.2", group_name, None, inst, sampled, t0)
     )
@@ -431,7 +447,7 @@ def verify_lemma_2_1(
     # (6) p-subgroups: s-permutable iff the normalizer contains the p-residual
     t0 = time.perf_counter()
     inst, sampled = [], False
-    res_masks = {p: G.mask_of(p_residual(G, p)) for p in primes_of(G)}
+    res_masks = {p: _p_residual_mask(G, p) for p in primes_of(G)}
     for m in lat:
         p = _p_subgroup_prime(G, m)
         if p is None:
@@ -478,9 +494,7 @@ def verify_lemma_2_2(
     records = []
 
     # (1) restriction to intermediate subgroups, sampled
-    inst, sampled = _restriction_part(
-        G, lat, [m for _, m in ssp], is_s_semipermutable
-    )
+    inst, sampled = _restriction_part(G, lat, [m for _, m in ssp], True)
     records.append(
         _part_record(
             "lemma-2.2.1",
@@ -521,7 +535,7 @@ def verify_lemma_2_2(
     # (3) inside the p-core, s-semipermutable implies s-permutable
     t0 = time.perf_counter()
     inst, sampled = [], False
-    cores = {p: G.mask_of(o_p(G, p)) for p in primes_of(G)}
+    cores = {p: _o_p_mask(G, p) for p in primes_of(G)}
     for p, m in ssp:
         if len(inst) >= PART_BUDGET:
             sampled = True
@@ -562,38 +576,31 @@ def verify_lemma_2_3(
     is flagged sampled.
     """
     t0 = time.perf_counter()
+    n = G.order()
     inst, sampled = [], False
     try:
-        candidates = [(m, None) for _, m in _ssp_p_subgroups(G, lattice_cap)]
+        candidates = [m for _, m in _ssp_p_subgroups(G, lattice_cap)]
     except LatticeCapError:
         sampled = True
-        found: dict[int, Group] = {}
+        found = set()
         for p in primes_of(G):
             P = all_sylow_subgroups(G, p).representative
-            for S in all_subgroups(P, lattice_cap):
-                m = G.mask_of(S)
-                if S.order() > 1 and m not in found and is_s_semipermutable(G, m):
-                    found[m] = S
-        candidates = sorted(found.items(), key=lambda t: (t[0].bit_count(), t[0]))
+            p_idx = G.indices_of(P)
+            for sub in lattice_masks(P, lattice_cap)[1:]:
+                m = mask_from_indices(p_idx[indices_from_mask(sub, len(p_idx))], n)
+                if m not in found and is_s_semipermutable(G, m):
+                    found.add(m)
+        candidates = sorted(found, key=lambda m: (m.bit_count(), m))
     # every subgroup of a soluble group is soluble, so G decides them all
-    g_soluble = bool(candidates) and is_soluble(G)
-    for m, H in candidates:
+    g_soluble = bool(candidates) and derived_series_masks(G)[-1] == 1
+    for m in candidates:
         if len(inst) >= PART_BUDGET:
             sampled = True
             break
-        H = _standalone(G, m) if H is None else H
-        closure = normal_closure(G, H)
-        key = ("closure_soluble", G.mask_of(closure))
-        ok = g_soluble or _cached(G, key, lambda: is_soluble(closure))
-        inst.append(
-            (
-                ok,
-                lambda H=H, c=closure.order(): {
-                    "subgroup": _fmt_group(H),
-                    "closure_order": c,
-                },
-            )
-        )
+        closure = mask_from_indices(_normal_closure_indices(G, m), n)
+        ok = g_soluble or derived_series_masks(G, closure)[-1] == 1
+        detail = _detail(G, {"subgroup": m}, closure_order=closure.bit_count())
+        inst.append((ok, detail))
     return [_part_record("lemma-2.3", group_name, None, inst, sampled, t0)]
 
 

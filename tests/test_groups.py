@@ -21,6 +21,7 @@ from grouplab.groups import (
     subgroup_generated,
 )
 from grouplab.perms import Permutation
+from grouplab.structure import normal_subgroup_masks
 
 P = Permutation.parse
 
@@ -219,6 +220,35 @@ def test_quotient_requires_normal(s4):
     H = subgroup_generated(s4, [P(4, "(1 2)")])
     with pytest.raises(NotNormalError):
         quotient(s4, H)
+
+
+@pytest.mark.parametrize("name", ["s4", "a4", "s3s3"])
+def test_quotient_by_mask_numbers_cosets_by_least_element(name, request):
+    """quotient takes N as a Group or its mask; cosets are numbered in the
+    order of their least elements, as a scan over G's elements finds them."""
+    G = request.getfixturevalue(name)
+    tbl = G.table()
+    for nm in normal_subgroup_masks(G):
+        by_mask = quotient(G, nm)
+        by_group = quotient(G, G.subgroup_from_mask(nm))
+        nidx = G.indices_of(nm)
+        coset_of, reps = [-1] * G.order(), []
+        for i in range(G.order()):
+            if coset_of[i] < 0:
+                for j in tbl[nidx, i]:
+                    coset_of[j] = len(reps)
+                reps.append(i)
+        for cm in (by_mask, by_group):
+            assert cm.coset_of.tolist() == coset_of
+            assert cm.reps.tolist() == reps
+        assert by_mask.quotient.generators == by_group.quotient.generators
+        assert by_mask.quotient.order() * nm.bit_count() == G.order()
+
+
+def test_quotient_mask_requires_normal(s4):
+    H = subgroup_generated(s4, [P(4, "(1 2)")])
+    with pytest.raises(NotNormalError):
+        quotient(s4, s4.mask_of(H))
 
 
 def test_is_subnormal(s3, s4):

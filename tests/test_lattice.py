@@ -64,13 +64,13 @@ def test_lattice_digest():
 
 def count_joins(monkeypatch) -> dict:
     calls = {"join": 0}
-    join = structure._join_subgroup_indices
+    join = structure._closure_indices
 
     def counting(*args, **kwargs):
         calls["join"] += 1
         return join(*args, **kwargs)
 
-    monkeypatch.setattr(structure, "_join_subgroup_indices", counting)
+    monkeypatch.setattr(structure, "_closure_indices", counting)
     return calls
 
 

@@ -5,17 +5,26 @@ build witness text only for a counterexample."""
 import pytest
 
 import naive
-from grouplab import theorems
-from grouplab.corpus import dihedral, symmetric
+from grouplab import groups, theorems
+from grouplab.corpus import alternating, cyclic, dihedral, direct_product, symmetric
 from grouplab.errors import DEFAULT_LATTICE_CAP
-from grouplab.groups import Group, is_subnormal, normalizer
+from grouplab.groups import (
+    Group,
+    _normal_closure_indices,
+    indices_from_mask,
+    is_subnormal,
+    mask_from_indices,
+    normal_closure,
+    normalizer,
+)
 from grouplab.permutability import (
     is_s_permutable,
     is_s_semipermutable,
     is_semipermutable,
     product_set,
 )
-from grouplab.structure import lattice_masks
+from grouplab.solubility import derived_series_masks, is_soluble
+from grouplab.structure import all_sylow_subgroups, lattice_masks, primes_of
 
 
 def fresh(G: Group) -> Group:
@@ -65,18 +74,25 @@ def test_masks_and_groups_agree(name, request):
 
 
 @pytest.mark.parametrize("name", ["s4", "a4", "q8", "s3s3"])
-def test_mask_within_overgroup(name, request):
+def test_sylows_within_overgroup(name, request):
+    """The restriction parts take an overgroup K's Sylow subgroups from G's
+    lattice; they must be those of K built as a group in its own right."""
     G = fresh(request.getfixturevalue(name))
     masks = lattice_masks(G)
-    pairs = 0
+    checked = 0
     for km in masks:
-        K = theorems._standalone(G, km)
-        for m in masks:
-            if m | km == km:
-                H = G.subgroup_from_mask(m)
-                assert theorems._mask_within(G, km, m) == K.mask_of(H)
-                pairs += 1
-    assert pairs > len(masks)
+        K = G.subgroup_from_mask(km)
+        k_idx = G.indices_of(K)
+        within = theorems._sylows_within(G, masks, km)
+        assert sorted(within) == primes_of(K)
+        for q in primes_of(K):
+            own = [
+                mask_from_indices(k_idx[indices_from_mask(s, len(k_idx))], G.order())
+                for s in all_sylow_subgroups(K, q).masks
+            ]
+            assert sorted(within[q]) == sorted(own)
+            checked += 1
+    assert checked >= len(masks) - 1  # every nontrivial K has a prime
 
 
 def test_clean_lemma_runs_format_no_witness(monkeypatch):
@@ -88,6 +104,53 @@ def test_clean_lemma_runs_format_no_witness(monkeypatch):
         assert all(r.status == "ok" for r in records)
         assert sum(r.witnesses["instances"] for r in records) > 20
     assert calls == []
+
+
+def test_clean_lemma_runs_build_no_subgroup_of_g(monkeypatch):
+    """With G's Sylow systems built, lemmas 2.1-2.3 decide everything on
+    G's masks: no subgroup of G becomes a Group on a clean run."""
+    real = Group.subgroup_from_indices
+    for G in (symmetric(4), dihedral(12)):
+        for p in primes_of(G):
+            all_sylow_subgroups(G, p)
+        parents = []
+        monkeypatch.setattr(
+            Group,
+            "subgroup_from_indices",
+            lambda self, idx: parents.append(self) or real(self, idx),
+        )
+        records = (
+            theorems.verify_lemma_2_1(G)
+            + theorems.verify_lemma_2_2(G)
+            + theorems.verify_lemma_2_3(G)
+        )
+        monkeypatch.undo()
+        assert all(r.status == "ok" for r in records)
+        assert not any(H is G for H in parents)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: symmetric(4), id="S4"),
+        pytest.param(lambda: direct_product(symmetric(3), symmetric(3)), id="S3xS3"),
+        pytest.param(lambda: direct_product(alternating(5), cyclic(2)), id="A5xC2"),
+    ],
+)
+def test_normal_closure_and_solubility_on_masks(make, monkeypatch):
+    """The table closure of a mask and its derived series against
+    normal_closure and is_soluble on the stabilizer chain."""
+    monkeypatch.setattr(groups, "DEFAULT_TABLE_CAP", 0)
+    G = make()
+    n = G.order()
+    soluble = set()
+    for m in lattice_masks(G):
+        closure = normal_closure(G, G.subgroup_from_mask(m))
+        cm = mask_from_indices(_normal_closure_indices(G, m), n)
+        assert cm == G.mask_of(closure)
+        assert (derived_series_masks(G, cm)[-1] == 1) == is_soluble(closure)
+        soluble.add(is_soluble(closure))
+    assert soluble == ({True, False} if n == 120 else {True})
 
 
 def test_counterexample_names_the_failing_subgroup(monkeypatch):
@@ -107,11 +170,8 @@ def test_counterexample_names_the_failing_subgroup(monkeypatch):
 
 def test_restriction_counterexample_pairs_subgroup_and_overgroup(monkeypatch):
     G = dihedral(12)
-    real = theorems.is_s_semipermutable
     # fail every restriction instance: the counterexample is the first one
-    monkeypatch.setattr(
-        theorems, "is_s_semipermutable", lambda K, h: K is G and real(K, h)
-    )
+    monkeypatch.setattr(theorems, "_permutes_with_sylows", lambda *args: False)
     rec = theorems.verify_lemma_2_2(G)[0]
     assert rec.check == "lemma-2.2.1" and rec.status == "VIOLATED"
     lat = lattice_masks(G, DEFAULT_LATTICE_CAP)

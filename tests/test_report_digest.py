@@ -22,3 +22,19 @@ DIGESTS = {
 def test_rendered_report_digest(max_order, check):
     text = run_corpus(builtin_corpus(max_order), [check]).render()
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[max_order, check]
+
+
+LEMMA_2_3_FALLBACK_DIGEST = (
+    "3d0e6471c0372d0aa5e28b887c63902bc9444dd561dabe5938c8f323873bddda"
+)
+
+
+def test_lemma_2_3_fallback_report_digest():
+    """Groups of order 25-64 above a lattice cap of 24: lemma 2.3 draws its
+    p-subgroups from the lattices of the Sylow representatives."""
+    corpus = [ng for ng in builtin_corpus(64) if ng.group.order() >= 25]
+    report = run_corpus(corpus, ["lemma-2.3"], lattice_cap=24)
+    assert len(corpus) == 259
+    assert sum(r.witnesses.get("sampled", False) for r in report.records) == 175
+    text = report.render()
+    assert hashlib.sha256(text.encode()).hexdigest() == LEMMA_2_3_FALLBACK_DIGEST
