@@ -641,6 +641,14 @@ def centralizer(G: Group, H: Group) -> Group:
     return G.subgroup_from_indices(np.nonzero(keep)[0])
 
 
+def _cached(G: Group, key, build):
+    """``G.cache[key]``, built by ``build()`` on first use."""
+    hit = G.cache.get(key)
+    if hit is None:
+        hit = G.cache[key] = build()
+    return hit
+
+
 def _normalizer_mask(G: Group, mask: int) -> int:
     """Mask of N_G(H) for H given by its mask over G's index.
 

@@ -336,7 +336,8 @@ def run_corpus(
     as failed error records.  The first violation, else the first error, is
     serialized to ``witness_path``.  On a violation the run aborts
     (CounterexampleError carries the partial report) unless
-    ``abort_on_violation`` is false.
+    ``abort_on_violation`` is false.  Each group's ``cache`` is emptied
+    once its checks are done, so a run holds one group's caches at a time.
     """
     mode = HypothesisMode(mode)
     check_ids = expand_checks(checks)
@@ -369,15 +370,18 @@ def run_corpus(
         for chain in chains.values():
             chain.sort(key=lambda t: t[0])
 
-        def run_chain(chain) -> list[VerificationRecord]:
+        def run_chain(name: str) -> list[VerificationRecord]:
             out = []
-            for key, thunk in chain:
+            for key, thunk in chains[name]:
                 out.extend(_run_task(key, thunk))
                 if abort_on_violation and any(r.violated for r in out):
                     break
+            # the group's checks are done: its caches would only pile up
+            # while the rest of the corpus runs
+            by_name[name].group.cache.clear()
             return out
 
-        consume(run_chain(chains[name]) for name in sorted(chains))
+        consume(run_chain(name) for name in sorted(chains))
     records = [r for batch in results for r in batch]
     records.sort(key=lambda r: (r.check, r.group, r.prime or 0))
     report = Report(

@@ -168,6 +168,15 @@ def _row_masks(block: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _mask_rows(masks: list[int], n: int) -> np.ndarray:
+    """The bool block over G's index whose rows are these masks; the
+    inverse of ``_row_masks`` for a group of order n."""
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits.reshape(len(masks), 8 * width)[:, :n].astype(bool)
+
+
 def _cyclic_masks(G: Group, idx: np.ndarray) -> list[int]:
     """Masks of the cyclic subgroups <g> for the element indices ``idx``.
 

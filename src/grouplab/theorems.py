@@ -18,7 +18,9 @@ lattice.  Each part stops at a fixed deterministic instance budget and
 flags the record as sampled when it does; counts are always reported.
 Subgroups are the lattice's bitmasks over G's element index throughout,
 and every predicate, closure and core is computed on G's own table; G/N
-is built only as the quotient group itself.  An instance is a (holds,
+is built only as the quotient group itself.  The permutability predicates
+are read from vectors over the lattice, and the quotient parts decide the
+images of all their subgroups in G/N as one batch.  An instance is a (holds,
 detail thunk) pair, and a subgroup becomes a :class:`Group` only for the
 first counterexample's detail text.
 """
@@ -36,6 +38,7 @@ import numpy as np
 from .errors import DEFAULT_LATTICE_CAP, LatticeCapError
 from .groups import (
     Group,
+    _cached,
     _normal_closure_indices,
     _normalizer_mask,
     indices_from_mask,
@@ -45,7 +48,10 @@ from .groups import (
     quotient,
 )
 from .permutability import (
-    _permutes_with_sylows,
+    _block_predicate,
+    _lattice_permutes,
+    _lattice_predicate,
+    _lattice_rows,
     is_s_permutable,
     is_s_semipermutable,
     product_set,
@@ -63,6 +69,7 @@ from .structure import (
     _p_residual_mask,
     _rank_mod_p,
     all_sylow_subgroups,
+    is_prime,
     lattice_masks,
     normal_subgroup_masks,
     p_part,
@@ -200,8 +207,9 @@ def main_hypothesis(
 
 def main_conclusion(G: Group, p: int) -> tuple[bool, dict]:
     """|P| = p, or the group is p-supersoluble."""
-    P = sylow_subgroup(G, p)
-    if P.order() == p:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p_part(G.order(), p) == p:
         return True, {"branch": "sylow of prime order"}
     ok = is_p_supersoluble(G, p)
     wit = {"branch": "p-supersoluble", "p_supersoluble": ok}
@@ -273,13 +281,6 @@ def _part_record(
     )
 
 
-def _cached(G: Group, key, build):
-    hit = G.cache.get(key)
-    if hit is None:
-        hit = G.cache[key] = build()
-    return hit
-
-
 def _standalone(G: Group, mask: int) -> Group:
     return _cached(G, ("standalone", mask), lambda: G.subgroup_from_mask(mask))
 
@@ -305,11 +306,21 @@ def _quotient(G: Group, nm: int) -> tuple[Group, np.ndarray]:
     return _cached(G, ("quotient", nm), build)
 
 
-def _image_mask(Q: Group, proj: np.ndarray, mask: int) -> int:
-    """Mask in Q = G/N of the image of the subgroup of G with this mask,
-    by the projection ``proj`` that ``_quotient`` returns with Q."""
-    idx = np.unique(proj[indices_from_mask(mask, len(proj))])
-    return mask_from_indices(idx, Q.order())
+def _images(G: Group, nm: int, rows: np.ndarray) -> tuple[Group, np.ndarray]:
+    """(G/N, block) for the normal subgroup N with mask nm: row i of the
+    bool block is the image in G/N of the subgroup in row i of ``rows``,
+    by one scatter through the projection."""
+    Q, proj = _quotient(G, nm)
+    r, x = np.nonzero(rows)
+    block = np.zeros((len(rows), Q.order()), dtype=bool)
+    block[r, proj[x]] = True
+    return Q, block
+
+
+def _lattice_index(G: Group, lattice_cap: int) -> dict[int, int]:
+    """The row of each member of G's lattice, by mask."""
+    lat = lattice_masks(G, lattice_cap)
+    return _cached(G, "lattice index", lambda: {m: i for i, m in enumerate(lat)})
 
 
 def _p_subgroup_prime(G: Group, mask: int) -> int | None:
@@ -332,13 +343,32 @@ def _sylows_within(G: Group, lat: list[int], km: int) -> dict[int, list[int]]:
     return _cached(G, ("sylows within", km), build)
 
 
+def _permutes_with_sylows(
+    G: Group, lattice_cap: int, i: int, coprime_only: bool, sylows: dict
+) -> bool:
+    """Whether lattice member i permutes with every mask in ``sylows[q]``
+    (the Sylow q-subgroups of an overgroup K), for each prime q (only those
+    not dividing its order when ``coprime_only``): its s-permutability or
+    s-semipermutability in K, read from G's lattice vectors at its row,
+    since HL is the same set in K as in G."""
+    h_order = lattice_masks(G, lattice_cap)[i].bit_count()
+    return all(
+        _lattice_permutes(G, L, lattice_cap)[i]
+        for q, masks in sylows.items()
+        if not (coprime_only and h_order % q == 0)
+        for L in masks
+    )
+
+
 def _restriction_part(
-    G: Group, lat: list[int], masks: list[int], coprime_only: bool
+    G: Group, lattice_cap: int, masks: list[int], coprime_only: bool
 ) -> tuple[list, bool]:
     """Whether each H permutes with the Sylow subgroups of its first
     RESTRICTION_SAMPLES proper overgroups K (only those of coprime order
     when ``coprime_only``): the s-permutability or s-semipermutability of
     H in K, decided in G."""
+    lat = lattice_masks(G, lattice_cap)
+    row = _lattice_index(G, lattice_cap)
     inst, sampled = [], False
     for m in masks:
         if len(inst) >= PART_BUDGET:
@@ -347,9 +377,8 @@ def _restriction_part(
         picked = 0
         for km in lat:
             if km != m and km | m == km:
-                sylows = _sylows_within(G, lat, km)
                 holds = _permutes_with_sylows(
-                    G, m, coprime_only, lambda q: sylows.get(q, [])
+                    G, lattice_cap, row[m], coprime_only, _sylows_within(G, lat, km)
                 )
                 inst.append((holds, _detail(G, {"subgroup": m, "intermediate": km})))
                 picked += 1
@@ -365,8 +394,10 @@ def verify_lemma_2_1(
     """The six closure properties of permuting-with-all-Sylows subgroups."""
     t0 = time.perf_counter()
     lat = lattice_masks(G, lattice_cap)
+    row = _lattice_index(G, lattice_cap)
     full = (1 << G.order()) - 1
-    sp = [m for m in lat if is_s_permutable(G, m)]
+    sperm = _lattice_predicate(G, False, lattice_cap).tolist()
+    sp = [m for m, ok in zip(lat, sperm) if ok]
     records = []
 
     # (1) s-permutable implies subnormal
@@ -380,7 +411,7 @@ def verify_lemma_2_1(
 
     # (2) restriction to intermediate subgroups, sampled
     t0 = time.perf_counter()
-    inst, sampled = _restriction_part(G, lat, sp, False)
+    inst, sampled = _restriction_part(G, lattice_cap, sp, False)
     records.append(
         _part_record("lemma-2.1.2", group_name, None, inst, sampled, t0)
     )
@@ -399,30 +430,25 @@ def verify_lemma_2_1(
     # (4) for normal K <= H: H s-permutable iff H/K s-permutable in G/K
     t0 = time.perf_counter()
     inst, sampled = [], False
-    sp_masks = set(sp)
     for nm in normal_subgroup_masks(G):
         if sampled:
             break
         if nm == 1 or nm == full:
             # kernel 1 and kernel G are tautological transfers
             continue
-        Q, proj = _quotient(G, nm)
-        for m in lat:
-            if m | nm != m:  # requires K <= H
-                continue
-            if len(inst) >= PART_BUDGET:
-                sampled = True
-                break
-            lhs = m in sp_masks
-            rhs = is_s_permutable(Q, _image_mask(Q, proj, m))
+        over = [i for i, m in enumerate(lat) if m | nm == m]  # requires K <= H
+        take = over[: PART_BUDGET - len(inst)]
+        sampled = len(take) < len(over)
+        Q, block = _images(G, nm, _lattice_rows(G, lattice_cap)[take])
+        for i, rhs in zip(take, _block_predicate(Q, block, False).tolist()):
             detail = _detail(
                 G,
-                {"subgroup": m},
+                {"subgroup": lat[i]},
                 kernel_order=nm.bit_count(),
-                in_group=lhs,
+                in_group=sperm[i],
                 in_quotient=rhs,
             )
-            inst.append((lhs == rhs, detail))
+            inst.append((sperm[i] == rhs, detail))
     records.append(
         _part_record("lemma-2.1.4", group_name, None, inst, sampled, t0)
     )
@@ -439,7 +465,7 @@ def verify_lemma_2_1(
                 break
             a, b = sp[i], sp[j]
             parts = {"first": a, "second": b, "intersection": a & b}
-            inst.append((is_s_permutable(G, a & b), _detail(G, parts)))
+            inst.append((sperm[row[a & b]], _detail(G, parts)))
     records.append(
         _part_record("lemma-2.1.5", group_name, None, inst, sampled, t0)
     )
@@ -448,7 +474,7 @@ def verify_lemma_2_1(
     t0 = time.perf_counter()
     inst, sampled = [], False
     res_masks = {p: _p_residual_mask(G, p) for p in primes_of(G)}
-    for m in lat:
+    for m, lhs in zip(lat, sperm):
         p = _p_subgroup_prime(G, m)
         if p is None:
             continue
@@ -456,7 +482,6 @@ def verify_lemma_2_1(
             sampled = True
             break
         nz_mask = _normalizer_mask(G, m)
-        lhs = is_s_permutable(G, m)
         rhs = res_masks[p] | nz_mask == nz_mask
         detail = _detail(
             G,
@@ -475,10 +500,11 @@ def verify_lemma_2_1(
 def _ssp_p_subgroups(G: Group, lattice_cap: int) -> list[tuple[int, int]]:
     """(prime, mask) for every nontrivial s-semipermutable p-subgroup in
     the lattice."""
+    lat = lattice_masks(G, lattice_cap)
     out = []
-    for m in lattice_masks(G, lattice_cap):
-        p = _p_subgroup_prime(G, m)
-        if p is not None and is_s_semipermutable(G, m):
+    for m, ok in zip(lat, _lattice_predicate(G, True, lattice_cap).tolist()):
+        p = _p_subgroup_prime(G, m) if ok else None
+        if p is not None:
             out.append((p, m))
     return out
 
@@ -488,13 +514,16 @@ def verify_lemma_2_2(
 ) -> list[VerificationRecord]:
     """Closure properties of s-semipermutable p-subgroups."""
     t0 = time.perf_counter()
-    lat = lattice_masks(G, lattice_cap)
+    row = _lattice_index(G, lattice_cap)
+    full = (1 << G.order()) - 1
+    sperm = _lattice_predicate(G, False, lattice_cap).tolist()
+    ssemi = _lattice_predicate(G, True, lattice_cap).tolist()
     ssp = _ssp_p_subgroups(G, lattice_cap)
-    separation = sum(1 for _, m in ssp if not is_s_permutable(G, m))
+    separation = sum(1 for _, m in ssp if not sperm[row[m]])
     records = []
 
     # (1) restriction to intermediate subgroups, sampled
-    inst, sampled = _restriction_part(G, lat, [m for _, m in ssp], True)
+    inst, sampled = _restriction_part(G, lattice_cap, [m for _, m in ssp], True)
     records.append(
         _part_record(
             "lemma-2.2.1",
@@ -510,24 +539,21 @@ def verify_lemma_2_2(
     # (2) images modulo normal subgroups stay s-semipermutable
     t0 = time.perf_counter()
     inst, sampled = [], False
+    ssp_rows = _lattice_rows(G, lattice_cap)[[row[m] for _, m in ssp]]
     for nm in normal_subgroup_masks(G):
         if sampled:
             break
-        if nm == 1 or nm == (1 << G.order()) - 1:
+        if nm == 1 or nm == full:
             continue
-        Q, proj = _quotient(G, nm)
-        for p, m in ssp:
-            if len(inst) >= PART_BUDGET:
-                sampled = True
-                break
-            image = _image_mask(Q, proj, m)
+        take = PART_BUDGET - len(inst)
+        sampled = len(ssp) > take
+        Q, block = _images(G, nm, ssp_rows[:take])
+        holds = _block_predicate(Q, block, True).tolist()
+        for (_, m), ok, order in zip(ssp, holds, block.sum(axis=1).tolist()):
             detail = _detail(
-                G,
-                {"subgroup": m},
-                kernel_order=nm.bit_count(),
-                image_order=image.bit_count(),
+                G, {"subgroup": m}, kernel_order=nm.bit_count(), image_order=order
             )
-            inst.append((is_s_semipermutable(Q, image), detail))
+            inst.append((ok, detail))
     records.append(
         _part_record("lemma-2.2.2", group_name, None, inst, sampled, t0)
     )
@@ -542,7 +568,7 @@ def verify_lemma_2_2(
             break
         if m | cores[p] != cores[p]:
             continue
-        inst.append((is_s_permutable(G, m), _detail(G, {"subgroup": m}, prime=p)))
+        inst.append((sperm[row[m]], _detail(G, {"subgroup": m}, prime=p)))
     records.append(
         _part_record("lemma-2.2.3", group_name, None, inst, sampled, t0)
     )
@@ -559,7 +585,7 @@ def verify_lemma_2_2(
                 break
             parts = {"subgroup": m, "intersection": m & nm}
             detail = _detail(G, parts, normal_order=nm.bit_count())
-            inst.append((is_s_semipermutable(G, m & nm), detail))
+            inst.append((ssemi[row[m & nm]], detail))
     records.append(
         _part_record("lemma-2.2.4", group_name, None, inst, sampled, t0)
     )

@@ -186,6 +186,15 @@ def test_run_corpus_main_small():
             assert (ng.name, p) in names
 
 
+def test_run_corpus_drops_each_groups_caches():
+    """A serial run keeps no group's lattice, vectors or quotients once its
+    checks are done; the answers do not depend on them."""
+    corpus = [named_group("S4"), named_group("D12")]
+    before = run_corpus(corpus, checks=["lemmas"]).render("text")
+    assert all(ng.group.cache == {} for ng in corpus)
+    assert run_corpus(corpus, checks=["lemmas"]).render("text") == before
+
+
 def test_run_corpus_empty():
     report = run_corpus([], checks=["main"])
     assert report.records == []
