@@ -10,14 +10,15 @@ raise :class:`EnumerationCapError`.  Every operation that needs element
 data runs on the table; only :func:`normal_closure` has a second path, on
 the stabilizer chain, which needs no element list.
 
-Element data are NumPy arrays.  The element matrix (one row of images per
-element, rows in canonical order) is the set of products of the
-stabilizer-chain transversals; :class:`Permutation` objects are made from
-its rows only for callers of :meth:`Group.elements`.  An element is fixed
-by its images of a base, so the element index looks elements up by those
-images, and the multiplication table and the inverses are built by one
-vectorised lookup per block of products.  A subgroup made from a parent's
-element indices takes the parent's matrix rows.
+Element data are NumPy arrays with one input, the element matrix (one row
+of images per element, rows in canonical order).  A group derived from an
+enumerated one is given its matrix and builds no stabilizer chain: a
+subgroup takes its parent's rows, G/N is read off G's coset table.  Other
+groups enumerate theirs as the products of the stabilizer-chain
+transversals.  :class:`Permutation` objects are made from rows only at the
+API boundary.  An element is fixed by its images of a base, so the element
+index looks elements up by those images, and the multiplication table and
+the inverses are built by one vectorised lookup per block of products.
 
 Element sets of subgroups are manipulated as bitmasks over the parent
 group's canonical element index (elements sorted lexicographically by image
@@ -26,7 +27,7 @@ array, so index 0 is always the identity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -151,7 +152,6 @@ class Group:
         degree: int,
         generators: Iterable[Permutation] = (),
         enum_cap: int = DEFAULT_ENUM_CAP,
-        _known_elements: tuple[Permutation, ...] | None = None,
         _known_emat: np.ndarray | None = None,
     ):
         if degree < 1:
@@ -172,11 +172,9 @@ class Group:
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.enum_cap = enum_cap
         self._levels: list[_Level] | None = None
-        self._order: int | None = None
-        self._elements: tuple[Permutation, ...] | None = _known_elements
+        self._order = None if _known_emat is None else len(_known_emat)
+        self._elements: tuple[Permutation, ...] | None = None
         self._emat: np.ndarray | None = _known_emat
-        if _known_elements is not None:
-            self._order = len(_known_elements)
         self._base: np.ndarray | None = None
         self._keys: list[np.ndarray] | None = None
         self._table: np.ndarray | None = None
@@ -212,7 +210,7 @@ class Group:
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             return False
-        if self._elements is not None:
+        if self._emat is not None:
             return self._find(g) >= 0
         h = g
         for lv in self._bsgs():
@@ -231,13 +229,13 @@ class Group:
     def elements(self) -> tuple[Permutation, ...]:
         """All elements, sorted lexicographically by image array.
 
-        The element matrix ``_emat`` (one row of images per element) is the
-        set of products of the stabilizer-chain transversals, built one
-        level at a time from the deepest; the Permutations are made from
-        its sorted rows.  Raises EnumerationCapError when the order exceeds
-        the cap.
+        The Permutations are made from the rows of the element matrix
+        ``_emat``, which a group derived from an enumerated one is given and
+        any other builds here: the products of the stabilizer-chain
+        transversals, one level at a time from the deepest, rows sorted.
+        Raises EnumerationCapError when the order exceeds the cap.
         """
-        if self._elements is None:
+        if self._emat is None:
             n = self.order()
             if n > self.enum_cap:
                 raise EnumerationCapError(
@@ -252,10 +250,16 @@ class Group:
                 # x * u has images u[x]
                 emat = u[:, emat].reshape(-1, self.degree)
             self._emat = emat[np.lexsort(emat.T[::-1])]
-            self._elements = tuple(
-                Permutation._unchecked(tuple(row.tolist())) for row in self._emat
-            )
+        if self._elements is None:
+            rows = self._emat.tolist()
+            self._elements = tuple(Permutation._unchecked(tuple(r)) for r in rows)
         return self._elements
+
+    def _matrix(self) -> np.ndarray:
+        """The element matrix, enumerated by :meth:`elements` if not given."""
+        if self._emat is None:
+            self.elements()
+        return self._emat
 
     def _ensure_index(self) -> None:
         """Build the element index: a base and one key table per base point.
@@ -271,8 +275,7 @@ class Group:
         element has stays -1.
         """
         if self._keys is None:
-            self.elements()
-            emat = self._emat
+            emat = self._matrix()
             n, deg = emat.shape
             base: list[int] = []
             fixing = np.ones(n, dtype=bool)
@@ -308,22 +311,13 @@ class Group:
             key = table[key, images]
         return key
 
-    def _indices_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Indices of the elements with the given image rows; raises
-        NotASubgroupError when a row is not an element."""
-        self._ensure_index()
-        idx = self._lookup(rows[:, self._base].T, len(rows)).astype(np.int64)
-        if (idx < 0).any() or not np.array_equal(self._emat[idx], rows):
-            raise NotASubgroupError("element set is not contained in parent")
-        return idx
-
     def _find(self, g: Permutation) -> int:
         """Index of g, or -1 when g is not an element."""
         if g.degree != self.degree:
             return -1
         self._ensure_index()
         i = int(self._lookup(np.array(g.images)[self._base], ()))
-        return i if i >= 0 and self._elements[i] == g else -1
+        return i if i >= 0 and tuple(self._emat[i].tolist()) == g.images else -1
 
     def element_index(self, g: Permutation) -> int:
         i = self._find(g)
@@ -332,7 +326,7 @@ class Group:
         return i
 
     def element_at(self, i: int) -> Permutation:
-        return self.elements()[i]
+        return Permutation._unchecked(tuple(self._matrix()[i].tolist()))
 
     def table(self) -> np.ndarray:
         """Dense multiplication table on element indices: n x n int32
@@ -379,9 +373,13 @@ class Group:
             return indices_from_mask(sub, self.order())
         if sub.degree != self.degree:
             raise NotASubgroupError("element set is not contained in parent")
-        sub.elements()
-        # both element lists are in lexicographic order, so the indices are too
-        return self._indices_of_rows(sub._emat)
+        rows = sub._matrix()
+        self._ensure_index()
+        # both element matrices are in lexicographic order, so the indices are too
+        idx = self._lookup(rows[:, self._base].T, len(rows)).astype(np.int64)
+        if (idx < 0).any() or not np.array_equal(self._emat[idx], rows):
+            raise NotASubgroupError("element set is not contained in parent")
+        return idx
 
     def mask_of(self, sub: "Group | int") -> int:
         if isinstance(sub, int):
@@ -392,11 +390,9 @@ class Group:
         """Subgroup with the given element indices (assumed closed).
 
         A small generating set is extracted greedily in index order, and the
-        element list is attached so it is never recomputed.
+        rows of the element matrix are attached so they are never recomputed.
         """
-        elems = self.elements()
         idx = np.sort(np.asarray(idx, dtype=np.int64))
-        members = tuple(elems[int(i)] for i in idx)
         gens: list[Permutation] = []
         if len(idx) > 1:
             tbl = self.table()
@@ -406,18 +402,14 @@ class Group:
                 i = int(i)
                 if have[i]:
                     continue
-                gens.append(elems[i])
+                gens.append(self.element_at(i))
                 prev = np.nonzero(have)[0]
                 seed = np.append(prev, i)
                 have[_closure_indices(tbl, seed, closed=prev)] = True
                 if int(have.sum()) == len(idx):
                     break
         return Group(
-            self.degree,
-            gens,
-            self.enum_cap,
-            _known_elements=members,
-            _known_emat=self._emat[idx],
+            self.degree, gens, self.enum_cap, _known_emat=self._matrix()[idx]
         )
 
     def subgroup_from_mask(self, mask: int) -> "Group":
@@ -434,8 +426,7 @@ class Group:
     def same_elements(self, other: "Group") -> bool:
         if self.degree != other.degree or self.order() != other.order():
             return False
-        self.elements(), other.elements()
-        return np.array_equal(self._emat, other._emat)
+        return np.array_equal(self._matrix(), other._matrix())
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -717,35 +708,29 @@ class CosetMap:
     """Quotient G/N realized as a permutation group on the cosets of N.
 
     ``quotient`` acts faithfully and regularly on the [G:N] cosets;
-    ``project`` maps each source element to the coset permutation it
-    induces by right multiplication.
+    ``coset_of[i]``, the number of source element i's coset, is also the
+    quotient's index of the coset permutation that i induces by right
+    multiplication, which ``project`` returns.
     """
 
     source: Group
     quotient: Group
     coset_of: np.ndarray
     reps: np.ndarray
-    _proj_idx: np.ndarray | None = field(default=None, repr=False)
 
     def project(self, g: Permutation) -> Permutation:
-        i = self.projection_indices()[self.source.element_index(g)]
+        i = self.coset_of[self.source.element_index(g)]
         return self.quotient.element_at(int(i))
-
-    def projection_indices(self) -> np.ndarray:
-        """Array q with q[i] = quotient element index of source element i."""
-        if self._proj_idx is None:
-            # row i: the cosets N r * e_i, i.e. the images of e_i's projection
-            rows = self.coset_of[self.source.table()[self.reps]].T
-            self._proj_idx = self.quotient._indices_of_rows(rows)
-        return self._proj_idx
 
 
 def quotient(G: Group, N: Group | int) -> CosetMap:
     """G/N via the right-multiplication action on cosets of N, which may be
     a subgroup or its mask over G's index.
 
-    Cosets are numbered by their least element.  Raises NotNormalError when
-    N is not normal in G (the action kernel would exceed N).
+    Cosets are numbered by their least element.  G/N's element matrix is
+    read off G's table: coset Nr sends Nc to Ncr, so its row starts with its
+    own number and the rows need no sort.  Raises NotNormalError when N is
+    not normal in G (the action kernel would exceed N).
     """
     nidx = G.indices_of(N)
     inside = np.zeros(G.order(), dtype=bool)
@@ -755,9 +740,8 @@ def quotient(G: Group, N: Group | int) -> CosetMap:
             raise NotNormalError("kernel of a quotient must be a normal subgroup")
     tbl = G.table()
     reps, coset_of = np.unique(tbl[nidx].min(axis=0), return_inverse=True)
-    qgens = []
-    for g in G.generators:
-        imgs = coset_of[tbl[reps, G.element_index(g)]]
-        qgens.append(Permutation(tuple(int(v) for v in imgs)))
-    Q = Group(max(len(reps), 1), qgens, G.enum_cap)
+    emat = coset_of[tbl[np.ix_(reps, reps)]].T.astype(np.int32)
+    gen_rows = emat[coset_of[[G.element_index(g) for g in G.generators]]]
+    qgens = [Permutation(tuple(row)) for row in gen_rows.tolist()]
+    Q = Group(max(len(reps), 1), qgens, G.enum_cap, _known_emat=emat)
     return CosetMap(source=G, quotient=Q, coset_of=coset_of, reps=reps)

@@ -1,10 +1,11 @@
 """Structural subgroup machinery.
 
-Sylow subgroups are built by normalizer ascent so they scale past the
-subgroup-lattice cap; the full lattice (cyclic extension from the soluble
-residual's lattice) and normal subgroups (join closure of conjugacy-class
-closures) are independent constructions so that chief series remain
-available for groups whose lattice would be too expensive.
+Sylow subgroups are built by normalizer ascent on masks over G's table, so
+they scale past the subgroup-lattice cap; the full lattice (cyclic
+extension from the soluble residual's lattice) and normal subgroups (join
+closure of conjugacy-class closures) are independent constructions so that
+chief series remain available for groups whose lattice would be too
+expensive.
 
 Maximal subgroups of a p-group P are the preimages of the hyperplanes of
 the elementary abelian quotient P/Phi(P); the generator-number d satisfies
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, product
 from typing import Iterator
 
@@ -31,13 +32,13 @@ from .errors import (
 )
 from .groups import (
     Group,
+    _cached,
     _closure_indices,
     _normalizer_mask,
     _require_subgroup,
     indices_from_mask,
     mask_from_indices,
     normal_closure,
-    normalizer,
     subgroup_generated,
 )
 from .perms import Permutation
@@ -79,51 +80,76 @@ def primes_of(G: Group) -> list[int]:
 
 @dataclass
 class SylowSystem:
-    """One conjugacy class of Sylow p-subgroups; ``masks[i]`` is the mask
-    of ``all[i]`` over the parent's index."""
+    """One conjugacy class of Sylow p-subgroups, as masks over the
+    parent's index."""
 
     parent: Group
     prime: int
     representative: Group
-    all: list[Group]
     masks: list[int]
 
     @property
     def count(self) -> int:
-        return len(self.all)
+        return len(self.masks)
+
+    @cached_property
+    def all(self) -> list[Group]:
+        """Built from ``masks`` on first read; 1 and G are the representative."""
+        if self.representative.order() in (1, self.parent.order()):
+            return [self.representative]
+        return [self.parent.subgroup_from_mask(m) for m in self.masks]
+
+
+def _element_orders(G: Group) -> np.ndarray:
+    """Order of every element of G: all are raised to successive powers
+    together on G's table until each is back at the identity."""
+
+    def build():
+        tbl, orders = G.table(), np.ones(G.order(), dtype=np.int64)
+        rows = powers = np.arange(1, G.order())
+        while rows.size:
+            orders[rows] += 1
+            powers = tbl[powers, rows]
+            rows, powers = rows[powers != 0], powers[powers != 0]
+        return orders
+
+    return _cached(G, "orders", build)
 
 
 def sylow_subgroup(G: Group, p: int) -> Group:
-    """A Sylow p-subgroup, by normalizer ascent from a cyclic p-subgroup.
+    """A Sylow p-subgroup, by normalizer ascent on G's table from the p-part
+    of the first element of order divisible by p, adding the first
+    p-element of N_G(P) outside P at each step; the result takes G's rows.
 
     Returns the trivial subgroup when p does not divide |G|.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    target = p_part(G.order(), p)
+    n = G.order()
+    target = p_part(n, p)
     if target == 1:
         return Group(G.degree, (), G.enum_cap)
-    if target == G.order():
+    if target == n:
         return G
-    seed = None
-    for x in G.elements():
-        o = x.order()
-        if o % p == 0:
-            seed = x ** (o // p_part(o, p))
-            break
-    P = subgroup_generated(G, [seed])
-    while P.order() < target:
-        N = normalizer(G, P)
-        grown = False
-        for y in N.elements():
-            o = y.order()
-            if o > 1 and p_part(o, p) == o and not P.contains(y):
-                P = subgroup_generated(G, P.generators + (y,))
-                grown = True
-                break
-        if not grown:  # cannot happen for a proper p-subgroup
+    tbl = G.table()
+    orders = _element_orders(G)
+    x = int(np.flatnonzero(orders % p == 0)[0])
+    o = int(orders[x])
+    seed = 0
+    for _ in range(o // p_part(o, p)):
+        seed = int(tbl[seed, x])
+    picked = [seed]
+    p_elements = (target % orders == 0) & (orders > 1)
+    idx = _closure_indices(tbl, np.array(picked))
+    while len(idx) < target:
+        norm = indices_from_mask(_normalizer_mask(G, mask_from_indices(idx, n)), n)
+        fresh = norm[p_elements[norm] & ~np.isin(norm, idx)]
+        if not fresh.size:  # cannot happen for a proper p-subgroup
             raise AssertionError("normalizer ascent stalled")
-    return P
+        picked.append(int(fresh[0]))
+        idx = _closure_indices(tbl, np.append(idx, fresh[0]), closed=idx)
+    gens = [G.element_at(i) for i in picked]
+    return Group(G.degree, gens, G.enum_cap, _known_emat=G._matrix()[idx])
 
 
 def all_sylow_subgroups(G: Group, p: int) -> SylowSystem:
@@ -140,7 +166,7 @@ def all_sylow_subgroups(G: Group, p: int) -> SylowSystem:
     if rep.order() == G.order() or rep.is_trivial:
         # 1 and G are the index prefixes of lengths 1 and |G|; not cached,
         # as rep may be G and costs nothing to find again
-        return SylowSystem(G, p, rep, [rep], [(1 << rep.order()) - 1])
+        return SylowSystem(G, p, rep, [(1 << rep.order()) - 1])
     cvecs = [G.conjugation_vector(G.element_index(g)) for g in G.generators]
     start = G.indices_of(rep)
     seen_masks = {mask_from_indices(start, G.order()): start}
@@ -154,9 +180,8 @@ def all_sylow_subgroups(G: Group, p: int) -> SylowSystem:
                 seen_masks[m] = conj
                 queue.append(conj)
     masks = sorted(seen_masks)
-    groups = [G.subgroup_from_indices(seen_masks[m]) for m in masks]
-    G.cache[key] = (rep, groups, masks)
-    return SylowSystem(G, p, rep, groups, masks)
+    G.cache[key] = (rep, masks)
+    return SylowSystem(G, p, rep, masks)
 
 
 # -- the subgroup lattice ------------------------------------------------------
@@ -668,8 +693,8 @@ def p_residual(G: Group, p: int) -> Group:
 
 def _p_residual_mask(G: Group, p: int) -> int:
     """Mask of O^p(G) over G's index."""
-    pprime = [i for i, x in enumerate(G.elements()) if x.order() % p != 0]
-    closed = _closure_indices(G.table(), np.array(pprime, dtype=np.int64))
+    pprime = np.flatnonzero(_element_orders(G) % p != 0)
+    closed = _closure_indices(G.table(), pprime)
     return mask_from_indices(closed, G.order())
 
 

@@ -301,7 +301,7 @@ def _quotient(G: Group, nm: int) -> tuple[Group, np.ndarray]:
 
     def build():
         cm = quotient(G, nm)
-        return cm.quotient, cm.projection_indices()
+        return cm.quotient, cm.coset_of
 
     return _cached(G, ("quotient", nm), build)
 
@@ -618,14 +618,20 @@ def verify_lemma_2_3(
                     found.add(m)
         candidates = sorted(found, key=lambda m: (m.bit_count(), m))
     # every subgroup of a soluble group is soluble, so G decides them all
+    # and the closures are built only for an insoluble G or a counterexample
     g_soluble = bool(candidates) and derived_series_masks(G)[-1] == 1
+
+    def closure(m: int) -> int:
+        return mask_from_indices(_normal_closure_indices(G, m), n)
+
     for m in candidates:
         if len(inst) >= PART_BUDGET:
             sampled = True
             break
-        closure = mask_from_indices(_normal_closure_indices(G, m), n)
-        ok = g_soluble or derived_series_masks(G, closure)[-1] == 1
-        detail = _detail(G, {"subgroup": m}, closure_order=closure.bit_count())
+        ok = g_soluble or derived_series_masks(G, closure(m))[-1] == 1
+        detail = lambda m=m: {
+            **_detail(G, {"subgroup": m})(), "closure_order": closure(m).bit_count()
+        }
         inst.append((ok, detail))
     return [_part_record("lemma-2.3", group_name, None, inst, sampled, t0)]
 

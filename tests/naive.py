@@ -233,3 +233,31 @@ def md_families(degree: int, P: frozenset) -> list[tuple[frozenset, ...]]:
         if frozenset(inter) == phi:
             out.append(combo)
     return out
+
+
+def sylow_ascent(
+    degree: int, G: frozenset, p: int
+) -> tuple[tuple[Permutation, ...], frozenset]:
+    """(generators, elements) of the Sylow p-subgroup reached by normalizer
+    ascent with the choices of ``structure.sylow_subgroup``: the p-part of
+    the first element (sorted by images) whose order p divides, then, until
+    the order is the p-part of |G|, the first p-element of N_G(P) outside P.
+    """
+    elems = sorted(G, key=lambda g: g.images)
+    target = p_part(len(G), p)
+    x = next(x for x in elems if x.order() % p == 0)
+    gens = [x ** (x.order() // p_part(x.order(), p))]
+    S = generated(degree, gens)
+    while len(S) < target:
+        gens.append(
+            next(
+                y
+                for y in elems
+                if y.order() > 1
+                and p_part(y.order(), p) == y.order()
+                and y not in S
+                and conjugate_set(S, y) == S
+            )
+        )
+        S = generated(degree, gens)
+    return tuple(gens), S

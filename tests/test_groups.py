@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import naive
+from grouplab.corpus import alternating, builtin_corpus, direct_product, symmetric
 from grouplab.errors import EnumerationCapError, NotASubgroupError, NotNormalError
 from grouplab.groups import (
     ElementSet,
@@ -21,7 +23,7 @@ from grouplab.groups import (
     subgroup_generated,
 )
 from grouplab.perms import Permutation
-from grouplab.structure import normal_subgroup_masks
+from grouplab.structure import all_sylow_subgroups, normal_subgroup_masks, primes_of
 
 P = Permutation.parse
 
@@ -243,6 +245,31 @@ def test_quotient_by_mask_numbers_cosets_by_least_element(name, request):
             assert cm.reps.tolist() == reps
         assert by_mask.quotient.generators == by_group.quotient.generators
         assert by_mask.quotient.order() * nm.bit_count() == G.order()
+
+
+def test_quotient_is_read_off_the_coset_table():
+    """G/N takes its element matrix from G's table: it has the elements that
+    Schreier-Sims finds from its generators, the projection is a
+    homomorphism onto it, and no stabilizer chain is built for it."""
+    corpus = [ng.group for ng in builtin_corpus(48)]
+    for G in corpus + [alternating(5), direct_product(symmetric(4), symmetric(4))]:
+        tbl = G.table()
+        for nm in normal_subgroup_masks(G):
+            cm = quotient(G, nm)
+            Q, proj = cm.quotient, cm.coset_of
+            assert Q.order() * nm.bit_count() == G.order()
+            qtbl = Q.table()
+            for p in primes_of(Q):
+                all_sylow_subgroups(Q, p)
+            assert Q._levels is None
+            assert (proj[tbl] == qtbl[proj[:, None], proj[None, :]]).all()
+            assert np.unique(proj).size == Q.order()
+            assert Q.elements() == Group(Q.degree, Q.generators).elements()
+            coset_perms = [
+                Permutation(tuple(proj[tbl[cm.reps, G.element_index(g)]].tolist()))
+                for g in G.generators
+            ]
+            assert Q.generators == Group(Q.degree, coset_perms).generators
 
 
 def test_quotient_mask_requires_normal(s4):

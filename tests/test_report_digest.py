@@ -15,6 +15,9 @@ from grouplab.runner import run_corpus
 DIGESTS = {
     (24, "lemmas"): "1508cb01c7b73783213499cfc791c3c3aabe59fd6f68398a428665d7794890c6",
     (60, "main"): "b9e0b2cde02db91ecd589734d9f12b4460c4eacfda54e73b4e83b74cc62ddc72",
+    (60, "corollaries"): "68418b8d6542ccc6e7c5f0dfea62e6117f2317bd6713c6fac4fb4cd1360fae2a",
+    (60, "srinivasan"): "96c672626b919946156d327cf8f8eeccfe201128a779c7cbc664eda153da9efc",
+    (120, "main"): "aadcf6a5bbd99f0ff2041933f50fb99f2f3b1f6da0e86f2a5848f9b5c02d2760",
 }
 
 

@@ -2,10 +2,12 @@
 import pytest
 
 import naive
+from grouplab import groups
 from grouplab.corpus import (
     builtin_corpus,
     cyclic,
     dihedral,
+    direct_product,
     elementary_abelian,
     quaternion8,
     symmetric,
@@ -14,6 +16,7 @@ from grouplab.errors import LatticeCapError, NotAPGroupError
 from grouplab.groups import is_normal, normalizer, subgroup_generated
 from grouplab.perms import Permutation
 from grouplab.structure import (
+    _element_orders,
     all_subgroups,
     all_sylow_subgroups,
     frattini_p_group,
@@ -46,6 +49,46 @@ def test_sylow_counts(s4, a4):
     assert all_sylow_subgroups(s4, 3).count == 4
     assert all_sylow_subgroups(s4, 2).count == 3
     assert all_sylow_subgroups(a4, 2).count == 1
+
+
+@pytest.fixture(scope="module")
+def sylow_corpus():
+    corpus = [ng.group for ng in builtin_corpus(120)]
+    return corpus + [direct_product(symmetric(4), symmetric(4))]
+
+
+def test_sylow_ascent_matches_permutation_reference(sylow_corpus):
+    """The mask ascent picks the generators of the element-list ascent, and
+    the Sylow subgroup takes G's rows: no Schreier-Sims runs on it."""
+    for G in sylow_corpus:
+        elems = frozenset(G.elements())
+        for p in naive.prime_factors(G.order()):
+            P = sylow_subgroup(G, p)
+            if P is G:
+                continue
+            gens, S = naive.sylow_ascent(G.degree, elems, p)
+            assert P.generators == gens, (G, p)
+            assert frozenset(P.elements()) == S
+            assert P._levels is None
+
+
+def test_element_orders_match_permutation_orders(sylow_corpus):
+    for G in sylow_corpus:
+        assert _element_orders(G).tolist() == [x.order() for x in G.elements()]
+
+
+def test_sylow_system_builds_groups_only_when_all_is_read(monkeypatch, s4, a5):
+    for G in (s4, a5, direct_product(symmetric(3), cyclic(4))):
+        for p in naive.prime_factors(G.order()):
+            system = all_sylow_subgroups(G, p)
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("count built a Group")
+
+            with monkeypatch.context() as m:
+                m.setattr(groups.Group, "__init__", refuse)
+                assert system.count == len(system.masks)
+            assert [G.mask_of(P) for P in system.all] == system.masks
 
 
 def test_sylow_congruences_over_corpus():

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grouplab import theorems
 from grouplab.corpus import builtin_corpus, cyclic, named_group
-from grouplab.groups import Group
+from grouplab.groups import CosetMap, Group
 from grouplab.perms import Permutation
 from grouplab.permutability import is_s_semipermutable
 from grouplab.runner import (
@@ -310,3 +311,29 @@ def test_stray_exception_becomes_error_record(tmp_path, monkeypatch):
     assert "error:AssertionError" in report.render("text")
     content = witness.read_text()
     assert "normalizer ascent stalled" in content and "name: S3" in content
+
+
+def test_derived_groups_build_no_stabilizer_chain(monkeypatch):
+    """The quotients of the lemma suites and the Sylow subgroups of the main
+    check take their elements from G's table, not from Schreier-Sims."""
+    made = []
+
+    def record(fn):
+        def wrapped(G, *args):
+            made.append((G, fn(G, *args)))
+            return made[-1][1]
+
+        return wrapped
+
+    monkeypatch.setattr(theorems, "quotient", record(theorems.quotient))
+    monkeypatch.setattr(theorems, "sylow_subgroup", record(theorems.sylow_subgroup))
+    for name in ("S4", "C3xS3", "D8xC3"):
+        G = named_group(name).group
+        verify_lemma_2_1(G, name)
+        verify_lemma_2_2(G, name)
+        for p in primes_of(G):
+            verify_main(G, p, group_name=name)
+    quotients = [cm.quotient for _, cm in made if isinstance(cm, CosetMap)]
+    sylows = [P for G, P in made if isinstance(P, Group) and P is not G]
+    assert quotients and sylows
+    assert all(H._levels is None for H in quotients + sylows)
