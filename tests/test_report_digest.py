@@ -27,6 +27,20 @@ def test_rendered_report_digest(max_order, check):
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[max_order, check]
 
 
+MAIN_MODE_DIGESTS = {
+    "forall": "b9e1717e144fb19c1df520158a6434b00a244c1e21826f42243b1785cd78444f",
+    "canonical": "82debfe032f2989694060a9e6a2fd3def6d3e0567e73e1f7fea7d65fa8e265c0",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MAIN_MODE_DIGESTS))
+def test_main_mode_report_digest(mode):
+    """The main check's other two modes over corpus 120 (``exists`` is
+    pinned above); each prints maximal-subgroup witness text of its own."""
+    text = run_corpus(builtin_corpus(120), ["main"], mode=mode).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == MAIN_MODE_DIGESTS[mode]
+
+
 LEMMA_2_3_FALLBACK_DIGEST = (
     "3d0e6471c0372d0aa5e28b887c63902bc9444dd561dabe5938c8f323873bddda"
 )
