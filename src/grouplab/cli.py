@@ -45,7 +45,6 @@ from .structure import (
     p_part,
     primes_of,
     smallest_generator_number,
-    sylow_subgroup,
 )
 from .theorems import HypothesisMode, verify_main
 
@@ -77,8 +76,9 @@ def _cmd_info(args) -> int:
     for p in primes:
         count = d = "?"
         if enumerable:  # finding a Sylow subgroup enumerates G
-            count = all_sylow_subgroups(G, p).count
-            d = smallest_generator_number(sylow_subgroup(G, p))
+            system = all_sylow_subgroups(G, p)
+            count = system.count
+            d = smallest_generator_number(system.representative)
         print(f"sylow p={p}: order {p_part(G.order(), p)}, count {count}, d_p {d}")
     if enumerable:
         print(f"soluble: {is_soluble(G)}")

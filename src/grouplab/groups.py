@@ -7,8 +7,11 @@ list, and with it the multiplication table, exists only for groups whose
 order is at most the enumeration cap: the table is built on the element
 index, so every enumerable group gets its table, and above the cap both
 raise :class:`EnumerationCapError`.  Every operation that needs element
-data runs on the table; only :func:`normal_closure` has a second path, on
-the stabilizer chain, which needs no element list.
+data runs on the table.  Two constructions have a second path above
+``DEFAULT_TABLE_CAP``, on generators and stabilizer chains, which needs
+no element list: :func:`normal_closure`, and the p-group frame of
+:mod:`grouplab.structure` (Phi(P), the Burnside basis and the maximal
+subgroups of P).
 
 Element data are NumPy arrays with one input, the element matrix (one row
 of images per element, rows in canonical order).  A group derived from an

@@ -11,6 +11,15 @@ Maximal subgroups of a p-group P are the preimages of the hyperplanes of
 the elementary abelian quotient P/Phi(P); the generator-number d satisfies
 p^d = |P/Phi(P)| and every d-subset of maximal subgroups intersecting in
 Phi(P) corresponds to a linearly independent set of d linear functionals.
+Up to ``DEFAULT_TABLE_CAP`` all of this runs on P's table: Phi(P) is a
+normal closure and the Burnside basis a chain of closures on P's element
+indices, every element gets its coordinates in F_p^d from the cosets
+b_1^a_1 ... b_d^a_d Phi(P) of the basis, and the maximal subgroups are
+the kernels {x : f . c(x) = 0 mod p} of the normalized functionals f, all
+from one product of the coordinates with the functionals.  Each kernel
+becomes a ``Group`` with P's rows, so no stabilizer chain is built for it.
+Above the threshold the frame and the maximal subgroups are built from
+generators.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ import numpy as np
 from .errors import (
     DEFAULT_FAMILY_LIMIT,
     DEFAULT_LATTICE_CAP,
+    DEFAULT_TABLE_CAP,
     LatticeCapError,
     NotAPGroupError,
 )
@@ -34,6 +44,7 @@ from .groups import (
     Group,
     _cached,
     _closure_indices,
+    _normal_closure_indices,
     _normalizer_mask,
     _require_subgroup,
     indices_from_mask,
@@ -486,28 +497,52 @@ def frattini_p_group(P: Group) -> Group:
     commutators and generator p-th powers (Burnside basis theorem)."""
     if P.is_trivial:
         return P
-    p = p_group_prime(P)
-    cands = [g**p for g in P.generators]
-    for i, a in enumerate(P.generators):
-        for b in P.generators[i + 1 :]:
-            cands.append(a.inverse() * b.inverse() * a * b)
-    K = subgroup_generated(P, cands)
-    return normal_closure(P, K)
+    return _p_group_frame(P)[1]
 
 
 def _p_group_frame(P: Group) -> tuple[int, Group, tuple[Permutation, ...], int]:
-    """(p, Phi(P), minimal generating sequence, d) for a nontrivial p-group."""
+    """(p, Phi(P), minimal generating sequence, d) for a nontrivial p-group.
+
+    Phi(P) is the normal closure of the generators' p-th powers and pairwise
+    commutators; the basis is the run of generators outside the span of
+    Phi(P) and the generators taken before them.  Up to
+    ``DEFAULT_TABLE_CAP`` both are closed on P's table, and Phi(P) takes
+    P's rows; above it each is a ``Group`` on generators, like
+    :func:`normal_closure`.  Either way Phi(P) gets the generators that
+    ``normal_closure`` gives it, which fix the witness text.
+    """
     cached = P.cache.get("pframe")
     if cached is not None:
         return cached
     p = p_group_prime(P)
-    phi = frattini_p_group(P)
     basis: list[Permutation] = []
-    span = Group(P.degree, phi.generators, P.enum_cap)
-    for g in P.generators:
-        if not span.contains(g):
-            basis.append(g)
-            span = Group(P.degree, phi.generators + tuple(basis), P.enum_cap)
+    if P.order() <= DEFAULT_TABLE_CAP:
+        tbl, inv = P.table(), P.inverse_indices()
+        gens = np.array([P.element_index(g) for g in P.generators], dtype=np.int64)
+        powers = gens
+        for _ in range(p - 1):
+            powers = tbl[powers, gens]
+        first, second = np.triu_indices(len(gens), 1)
+        a, b = gens[first], gens[second]
+        commutators = tbl[tbl[inv[a], inv[b]], tbl[a, b]]
+        seed = mask_from_indices(np.concatenate([powers, commutators]), P.order())
+        span = _normal_closure_indices(P, seed)
+        phi = P.subgroup_from_indices(span)
+        for g, i in zip(P.generators, gens):
+            if not (span == i).any():
+                basis.append(g)
+                span = _closure_indices(tbl, np.append(span, i), closed=span)
+    else:
+        cands = [g**p for g in P.generators]
+        for i, a in enumerate(P.generators):
+            for b in P.generators[i + 1 :]:
+                cands.append(a.inverse() * b.inverse() * a * b)
+        phi = normal_closure(P, subgroup_generated(P, cands))
+        span_group = Group(P.degree, phi.generators, P.enum_cap)
+        for g in P.generators:
+            if not span_group.contains(g):
+                basis.append(g)
+                span_group = Group(P.degree, phi.generators + tuple(basis), P.enum_cap)
     d = 0
     q = P.order() // phi.order()
     while q > 1:
@@ -537,8 +572,38 @@ def _normalized_functionals(p: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _frattini_coordinates(
+    P: Group, p: int, phi_idx: np.ndarray, basis: tuple[Permutation, ...]
+) -> np.ndarray:
+    """The (|P|, d) coordinates of P's elements in P/Phi(P) = F_p^d for
+    the basis b_1..b_d: the coset b_1^a_1 ... b_d^a_d Phi(P) is scattered
+    with coordinates a, in the order of ``product(range(p), repeat=d)``."""
+    tbl = P.table()
+    reps = np.zeros(1, dtype=np.int64)
+    for b in basis:
+        bi = P.element_index(b)
+        steps = [reps]
+        for _ in range(p - 1):
+            steps.append(tbl[steps[-1], bi])
+        reps = np.stack(steps, axis=1).ravel()
+    cosets = tbl[reps[:, None], phi_idx]
+    coords = np.full((P.order(), len(basis)), -1, dtype=np.int64)
+    coords[cosets] = np.array(list(product(range(p), repeat=len(basis))))[:, None]
+    if (coords < 0).any():
+        raise AssertionError("the cosets b^a Phi(P) do not cover P")
+    return coords
+
+
 def _maximal_data(P: Group) -> tuple[list[tuple[int, ...]], list[Group]]:
-    """(functionals, maximal subgroups) of a p-group, in matching order."""
+    """(functionals, maximal subgroups) of a p-group, in matching order.
+
+    The maximal subgroup of the normalized functional f is generated by
+    Phi(P) and the lifts b_j b_lead^k of a basis of f's kernel.  Up to
+    ``DEFAULT_TABLE_CAP`` it also gets its rows: it is the kernel
+    {x : f . c(x) = 0 mod p} of P's coordinates c in P/Phi(P), and one
+    product of the coordinates with all the functionals gives every
+    kernel at once; above the cap the groups build their own elements.
+    """
     cached = P.cache.get("pmaximals")
     if cached is not None:
         return cached
@@ -566,16 +631,32 @@ def _maximal_data(P: Group) -> tuple[list[tuple[int, ...]], list[Group]]:
         return g
 
     functionals = _normalized_functionals(p, d)
-    phigens = phi.generators
-    maximals = []
+    lifts = []
     for vec in functionals:
         lead = next(i for i, c in enumerate(vec) if c)
-        gens = list(phigens)
-        for j in range(d):
-            if j == lead:
-                continue
-            gens.append(lift(j, lead, (p - vec[j]) % p))
-        maximals.append(Group(P.degree, gens, P.enum_cap))
+        lifts.append(
+            [lift(j, lead, (p - vec[j]) % p) for j in range(d) if j != lead]
+        )
+    phigens = list(phi.generators)
+    if P.order() > DEFAULT_TABLE_CAP:
+        maximals = [Group(P.degree, phigens + ls, P.enum_cap) for ls in lifts]
+    else:
+        phi_idx = P.indices_of(phi)
+        coords = _frattini_coordinates(P, p, phi_idx, basis)
+        kernels = ((coords @ np.array(functionals).T) % p == 0).T
+        lift_idx = {g: P.element_index(g) for g in set().union(*lifts)}
+        lift_cols = np.array([[lift_idx[g] for g in ls] for ls in lifts], dtype=np.int64)
+        if (
+            (kernels.sum(axis=1) != P.order() // p).any()
+            or not kernels[:, phi_idx].all()
+            or not np.take_along_axis(kernels, lift_cols, axis=1).all()
+        ):
+            raise AssertionError("hyperplane kernel is not its maximal subgroup")
+        emat = P._matrix()
+        maximals = [
+            Group(P.degree, phigens + ls, P.enum_cap, _known_emat=emat[inside])
+            for ls, inside in zip(lifts, kernels)
+        ]
     P.cache["pmaximals"] = (functionals, maximals)
     return P.cache["pmaximals"]
 

@@ -171,10 +171,55 @@ def test_maximal_subgroups_counts(d8):
     assert len(maximal_subgroups_of_p_group(E)) == (3**3 - 1) // (3 - 1)
 
 
-def test_maximal_subgroups_are_maximal(d8):
-    oracle = naive.maximal_subgroups(4, naive.closure(4, d8.generators))
-    computed = {frozenset(m.elements()) for m in maximal_subgroups_of_p_group(d8)}
-    assert computed == oracle
+def _points_group(degree, maps):
+    """The group generated by the point maps ``maps`` on range(degree)."""
+    return groups.Group(
+        degree, [Permutation(tuple(f(x) for x in range(degree))) for f in maps]
+    )
+
+
+def _heisenberg27():
+    # exponent 3: (x, y) -> (x + y, y) and (x, y) -> (x, y + 1) on F_3^2
+    return _points_group(
+        9,
+        [
+            lambda v: 3 * ((v // 3 + v % 3) % 3) + v % 3,
+            lambda v: 3 * (v // 3) + (v % 3 + 1) % 3,
+        ],
+    )
+
+
+def _c9_by_c3():
+    # exponent 9: x -> x + 1 and x -> 4x on Z/9
+    return _points_group(9, [lambda x: (x + 1) % 9, lambda x: 4 * x % 9])
+
+
+ORACLE_P_GROUPS = {
+    "D8": lambda: dihedral(8),
+    "Q8": quaternion8,
+    "C4xC2": lambda: direct_product(cyclic(4), cyclic(2)),
+    "C27": lambda: cyclic(27),
+    "C9xC3": lambda: direct_product(cyclic(9), cyclic(3)),
+    "C3^3": lambda: elementary_abelian(3, 3),
+    "He3": _heisenberg27,
+    "C9:C3": _c9_by_c3,
+    "Sylow2(S4xS4)": lambda: sylow_subgroup(direct_product(symmetric(4), symmetric(4)), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_P_GROUPS))
+def test_maximal_subgroups_are_maximal(name):
+    """Every maximal subgroup exactly once, and the rows each gets from its
+    hyperplane kernel are the group its generators generate."""
+    P = ORACLE_P_GROUPS[name]()
+    assert P.order() in (8, 27, 64)
+    E = naive.closure(P.degree, P.generators)
+    computed = [frozenset(M.elements()) for M in maximal_subgroups_of_p_group(P)]
+    assert len(set(computed)) == len(computed)
+    assert set(computed) == naive.maximal_subgroups(P.degree, E)
+    for M, elems in zip(maximal_subgroups_of_p_group(P), computed):
+        assert naive.closure(P.degree, M.generators) == elems
+    assert frozenset(frattini_p_group(P).elements()) == naive.frattini(P.degree, E)
 
 
 def test_smallest_generator_number(d8):

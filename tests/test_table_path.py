@@ -1,18 +1,25 @@
 """One table path: every group up to the enumeration cap gets its
 multiplication table and every check runs on it; above the cap the table
-raises and the runner records a skip.  Only ``normal_closure`` keeps a
-second path, on the stabilizer chain, above ``DEFAULT_TABLE_CAP``."""
+raises and the runner records a skip.  Only ``normal_closure`` and the
+p-group frame (Phi(P), the Burnside basis and the maximal subgroups of P)
+keep a second path, on generators, above ``DEFAULT_TABLE_CAP``."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-from grouplab.corpus import NamedGroup, builtin_corpus, symmetric
+from test_report_digest import DIGESTS
+
+from grouplab import groups, structure
+from grouplab.corpus import NamedGroup, builtin_corpus, named_group, symmetric
 from grouplab.errors import EnumerationCapError
 from grouplab.groups import Group
+from grouplab.perms import Permutation
 from grouplab.runner import run_corpus
 from grouplab.solubility import is_soluble
+from grouplab.structure import maximal_subgroups_of_p_group, primes_of, sylow_subgroup
+from grouplab.theorems import HypothesisMode, verify_main
 
 MID_SIZE = ("C18xS5", "C27xC3^4", "D18xS5")
 
@@ -45,3 +52,39 @@ def test_mid_size_main_report_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "c3f630db40ecced1f06020c0937dd38a14e994a97b1c81aaeb18f442e5bf923c"
     )
+
+
+@pytest.mark.parametrize("name", ["S4xS3", "C2^7"])
+def test_main_check_builds_one_stabilizer_chain(monkeypatch, name):
+    """On a relabelled enumerable group the main check, in every mode and
+    at every prime, runs Schreier-Sims once, for G itself: the Sylow
+    subgroup, Phi(P), its maximal subgroups and the witnesses' Sylow
+    subgroups all take G's rows."""
+    real, chains = groups._build_bsgs, []
+
+    def counting(degree, generators):
+        chains.append(degree)
+        return real(degree, generators)
+
+    monkeypatch.setattr(groups, "_build_bsgs", counting)
+    G0 = named_group(name).group
+    points = list(range(G0.degree))
+    points.reverse()
+    s = Permutation(tuple(points[1:] + points[:1]))
+    for p in primes_of(G0):
+        for mode in HypothesisMode:
+            G = Group(G0.degree, [s.inverse() * g * s for g in G0.generators])
+            chains.clear()
+            verify_main(G, p, mode)
+            assert len(chains) == 1, (p, mode)
+
+
+def test_generator_frame_keeps_the_main_report(monkeypatch):
+    """With the frame's table threshold forced to 0, every p-group's frame
+    and maximal subgroups are built on generators, and the main report
+    over corpus 60 is unchanged."""
+    monkeypatch.setattr(structure, "DEFAULT_TABLE_CAP", 0)
+    P = sylow_subgroup(symmetric(4), 2)
+    assert all(M._emat is None for M in maximal_subgroups_of_p_group(P))
+    text = run_corpus(builtin_corpus(60), ["main"]).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[60, "main"]
