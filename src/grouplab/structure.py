@@ -611,12 +611,6 @@ def _maximal_data(P: Group) -> tuple[list[tuple[int, ...]], list[Group]]:
         P.cache["pmaximals"] = ([], [])
         return P.cache["pmaximals"]
     p, phi, basis, d = _p_group_frame(P)
-    powers = [[None] * p for _ in basis]
-    for i, b in enumerate(basis):
-        cur = Permutation.identity(P.degree)
-        for k in range(p):
-            powers[i][k] = cur
-            cur = cur * b
     pair_cache: dict[tuple[int, int, int], Permutation] = {}
 
     def lift(j: int, lead: int, k: int) -> Permutation:
@@ -624,11 +618,9 @@ def _maximal_data(P: Group) -> tuple[list[tuple[int, ...]], list[Group]]:
         if k == 0:
             return basis[j]
         key = (j, lead, k)
-        g = pair_cache.get(key)
-        if g is None:
-            g = basis[j] * powers[lead][k]
-            pair_cache[key] = g
-        return g
+        if key not in pair_cache:
+            pair_cache[key] = basis[j] * basis[lead] ** k
+        return pair_cache[key]
 
     functionals = _normalized_functionals(p, d)
     lifts = []
@@ -645,7 +637,9 @@ def _maximal_data(P: Group) -> tuple[list[tuple[int, ...]], list[Group]]:
         coords = _frattini_coordinates(P, p, phi_idx, basis)
         kernels = ((coords @ np.array(functionals).T) % p == 0).T
         lift_idx = {g: P.element_index(g) for g in set().union(*lifts)}
-        lift_cols = np.array([[lift_idx[g] for g in ls] for ls in lifts], dtype=np.int64)
+        lift_cols = np.array(
+            [[lift_idx[g] for g in ls] for ls in lifts], dtype=np.int64
+        )
         if (
             (kernels.sum(axis=1) != P.order() // p).any()
             or not kernels[:, phi_idx].all()

@@ -203,7 +203,9 @@ ORACLE_P_GROUPS = {
     "C3^3": lambda: elementary_abelian(3, 3),
     "He3": _heisenberg27,
     "C9:C3": _c9_by_c3,
-    "Sylow2(S4xS4)": lambda: sylow_subgroup(direct_product(symmetric(4), symmetric(4)), 2),
+    "Sylow2(S4xS4)": lambda: sylow_subgroup(
+        direct_product(symmetric(4), symmetric(4)), 2
+    ),
 }
 
 
