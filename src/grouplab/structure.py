@@ -542,7 +542,9 @@ def _p_group_frame(P: Group) -> tuple[int, Group, tuple[Permutation, ...], int]:
         for g in P.generators:
             if not span_group.contains(g):
                 basis.append(g)
-                span_group = Group(P.degree, phi.generators + tuple(basis), P.enum_cap)
+                span_group = Group(
+                    P.degree, phi.generators + tuple(basis), P.enum_cap
+                )
     d = 0
     q = P.order() // phi.order()
     while q > 1:
