@@ -64,3 +64,16 @@ def c6():
 @pytest.fixture(scope="session")
 def e49():
     return elementary_abelian(7, 2)
+
+
+LARGE_PRODUCTS = ("C5^3xS3", "C2^6xS3", "C3^4xS3", "S4xS4", "A4xA4xC2", "D10xA5")
+"""Direct products of order 288-750 like those of the benchmark's check
+stream; no pinned corpus digest reaches above order 200."""
+
+
+@pytest.fixture(scope="session")
+def large_products():
+    """The large products by name, each built once per session."""
+    from grouplab.corpus import named_group
+
+    return {name: named_group(name).group for name in LARGE_PRODUCTS}
