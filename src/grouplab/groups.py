@@ -308,18 +308,25 @@ class Group:
         where no element has those base images.  Exact for elements of the
         group; anything else must be checked against the element matrix.
         Needs the index built.
+
+        Each level's step is one 1-D ``take`` from its key table read flat,
+        at ``key * degree + image``: a key of -1 lands in the last row,
+        which is all -1.
         """
         key = np.zeros(shape, dtype=np.int32)
         for table, images in zip(self._keys, base_images):
-            key = table[key, images]
+            key = table.ravel().take(key * self.degree + images)
         return key
 
     def _find(self, g: Permutation) -> int:
-        """Index of g, or -1 when g is not an element."""
+        """Index of g, or -1 when g is not an element.  One element walks
+        the key tables with plain ints, which beats any array step."""
         if g.degree != self.degree:
             return -1
         self._ensure_index()
-        i = int(self._lookup(np.array(g.images)[self._base], ()))
+        i = 0
+        for table, b in zip(self._keys, self._base.tolist()):
+            i = int(table[i, g.images[b]])
         return i if i >= 0 and tuple(self._emat[i].tolist()) == g.images else -1
 
     def element_index(self, g: Permutation) -> int:
@@ -338,9 +345,10 @@ class Group:
 
         Product e_i * e_j has images e_j[e_i], so for all j at once its
         base images are the columns e_i[base] of the element matrix, and
-        the element index turns them into product indices.  Rows are done
-        in blocks of at most ``_BLOCK`` products, one base point at a time,
-        so the work arrays beyond the table hold O(max(n, _BLOCK)) entries.
+        the element index turns them into product indices (``_lookup``:
+        one flat ``take`` per base point).  Rows are done in blocks of at
+        most ``_BLOCK`` products, one base point at a time, so the work
+        arrays beyond the table hold O(max(n, _BLOCK)) entries.
         Inverses come the same way from the base images of the inverted
         rows.
         """

@@ -5,10 +5,12 @@ normal subgroup M of G over a normal N is N∨A, with A the normal closure of
 any conjugacy class in M∖N; so the smallest join N∨A over these closures
 (the normal atoms, found from G's cyclic subgroups) is minimal normal over
 N.  N and A are normal, so N∨A is the product set NA and its order
-|N||A|/|N∩A| is known from bit counts before it is built; only the joins of
-least order are built.  The chain is kept as masks over G's element index,
-and its members become groups only when ``ChiefSeries.chain`` is read.
-Factor orders are reported from the top.
+|N||A|/|N∩A| is known before it is built.  The atoms are kept as one bool
+block over G's element index: each step counts |N∩A| for all of them over
+N's columns at once, and builds only the joins of least order, together
+in one block whose rows are read back as masks.  The chain is kept as
+masks over G's element index, and its members become groups only when
+``ChiefSeries.chain`` is read.  Factor orders are reported from the top.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from .groups import (
     subgroup_generated,
 )
 from .structure import (
+    _mask_rows,
     _normal_atom_masks,
+    _row_masks,
     o_p_prime,
     p_part,
     primes_of,
@@ -55,9 +59,13 @@ class ChiefSeries:
 def chief_series(G: Group) -> ChiefSeries:
     """Chief series of G: from N = 1, repeatedly step to the smallest join
     N∨A = NA with a normal atom A of G, by (order, mask), until G is
-    reached.  The order of every join comes from |N||A|/|N∩A|; product sets
-    are built only for the joins of least order, and each must have exactly
-    that order.
+    reached.
+
+    The atoms are the rows of one bool block over G's index, so |A∩N| for
+    every atom is one count over N's columns, and the order of every join
+    follows as |N||A|/|N∩A|.  Only the joins of least order are built,
+    all into one block (in slices of at most 2^20 products or entries), and
+    each must have exactly that order.
 
     G's cache keeps the masks and factor orders without G itself, so that
     it makes no reference cycle and a dropped G is freed at once."""
@@ -66,27 +74,27 @@ def chief_series(G: Group) -> ChiefSeries:
         return ChiefSeries(G, *cached)
     n = G.order()
     tbl = G.table()
-    atoms = [(a, a.bit_count()) for a in _normal_atom_masks(G)]
-    cur = 1
-    masks = [cur]
-    while cur.bit_count() < n:
-        size = cur.bit_count()
-        joins = [
-            (size * s // (a & cur).bit_count(), a)
-            for a, s in atoms
-            if a | cur != cur
-        ]
-        least = min(order for order, _ in joins)
-        cur_idx = indices_from_mask(cur, n)
+    atoms = _mask_rows(_normal_atom_masks(G), n)
+    sizes = atoms.sum(axis=1)
+    cur_idx = np.zeros(1, dtype=np.int64)
+    masks = [1]
+    while len(cur_idx) < n:
+        meet = np.count_nonzero(atoms[:, cur_idx], axis=1)
+        orders = np.where(meet < sizes, len(cur_idx) * sizes // meet, n + 1)
+        least = orders.min()
         built = []
-        for order, a in joins:
-            if order != least:
-                continue
-            j_idx = np.unique(tbl[cur_idx[:, None], indices_from_mask(a, n)])
-            if len(j_idx) != order:
+        rows = np.flatnonzero(orders == least)
+        step = max(1, (1 << 20) // max(n, len(cur_idx) * int(sizes[rows].max())))
+        for lo in range(0, len(rows), step):
+            part = atoms[rows[lo : lo + step]]
+            r, a_idx = np.nonzero(part)
+            block = np.zeros_like(part)
+            block[r, tbl[cur_idx[:, None], a_idx]] = True
+            if (block.sum(axis=1) != least).any():
                 raise AssertionError("|NA| != |N||A|/|N∩A| for normal N, A")
-            built.append(mask_from_indices(j_idx, n))
+            built += _row_masks(block)
         cur = min(built)
+        cur_idx = indices_from_mask(cur, n)
         masks.insert(0, cur)
     factors = [a.bit_count() // b.bit_count() for a, b in zip(masks, masks[1:])]
     G.cache["chief"] = (masks, factors)

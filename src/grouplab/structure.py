@@ -350,38 +350,38 @@ def all_subgroups(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[Grou
 
 
 def _conjugacy_class_indices(G: Group) -> list[np.ndarray]:
-    """Conjugacy classes as index arrays, ordered by their least index.
-    The central elements, fixed by conjugation with every generator, are
-    the singleton classes and are found at once."""
+    """Conjugacy classes as sorted index arrays, ordered by their least
+    index.
+
+    The classes are the orbits of G's elements under conjugation by its
+    generators, found for all elements at once: every element is labelled
+    by the least index it reaches, passing labels along the generators'
+    conjugation vectors and their inverses and jumping to the label's own
+    label, until nothing changes.  A stable sort by label then cuts the
+    index range into the classes.
+    """
     cached = G.cache.get("classes")
     if cached is not None:
         return cached
     n = G.order()
-    cvecs = [G.conjugation_vector(G.element_index(g)) for g in G.generators]
     ident = np.arange(n)
-    seen = np.ones(n, dtype=bool)
-    for cv in cvecs:
-        seen &= cv == ident
-    classes = [ident[i : i + 1] for i in np.flatnonzero(seen)]
-    for i in np.flatnonzero(~seen):
-        if seen[i]:
-            continue
-        member = np.zeros(n, dtype=bool)
-        member[i] = True
-        frontier = np.array([i], dtype=np.int64)
-        while frontier.size:
-            nxt = []
-            for cv in cvecs:
-                conj = cv[frontier]
-                fresh = conj[~member[conj]]
-                if fresh.size:
-                    member[fresh] = True
-                    nxt.append(fresh)
-            frontier = np.concatenate(nxt) if nxt else np.array([], dtype=np.int64)
-        cls = np.nonzero(member)[0]
-        seen[cls] = True
-        classes.append(cls)
-    classes.sort(key=lambda cls: int(cls[0]))
+    steps = []
+    for g in G.generators:
+        cv = G.conjugation_vector(G.element_index(g))
+        cv_inv = np.empty_like(cv)
+        cv_inv[cv] = ident
+        steps += [cv, cv_inv]
+    lab = ident
+    while True:
+        nxt = lab
+        for step in steps:
+            nxt = np.minimum(nxt, lab[step])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, lab):
+            break
+        lab = nxt
+    order = np.argsort(lab, kind="stable")
+    classes = np.split(order, np.flatnonzero(np.diff(lab[order])) + 1)
     G.cache["classes"] = classes
     return classes
 
@@ -396,7 +396,8 @@ def _normal_atom_masks(G: Group) -> list[int]:
     and a central class (of size 1) has the atom <g> itself.  Any other
     class is closed as a normal set: products of a union of classes are a
     union of classes, so multiplying the new elements by the members on one
-    side reaches every product.
+    side reaches every product.  Each round scatters those products into a
+    bool vector over G's index, so no product list is sorted.
     """
     cached = G.cache.get("normal_atoms")
     if cached is not None:
@@ -417,10 +418,11 @@ def _normal_atom_masks(G: Group) -> list[int]:
         member[cls] = True
         frontier = cls
         while frontier.size:
-            prods = np.unique(tbl[frontier[:, None], np.nonzero(member)[0]])
-            frontier = prods[~member[prods]]
-            member[frontier] = True
-        atom_of[cyc] = mask_from_indices(np.nonzero(member)[0], n)
+            hit = np.zeros(n, dtype=bool)
+            hit[tbl[frontier[:, None], np.flatnonzero(member)]] = True
+            frontier = np.flatnonzero(hit & ~member)
+            member |= hit
+        atom_of[cyc] = _row_masks(member[None, :])[0]
     atoms = sorted(set(atom_of.values()), key=lambda m: (m.bit_count(), m))
     G.cache["normal_atoms"] = atoms
     return atoms
@@ -604,7 +606,9 @@ def _maximal_data(P: Group) -> tuple[list[tuple[int, ...]], list[Group]]:
     ``DEFAULT_TABLE_CAP`` it also gets its rows: it is the kernel
     {x : f . c(x) = 0 mod p} of P's coordinates c in P/Phi(P), and one
     product of the coordinates with all the functionals gives every
-    kernel at once; above the cap the groups build their own elements.
+    kernel at once; P's cache keeps the kernels as a bool block
+    (``"pkernels"``).  Above the cap the groups build their own elements.
+    For cyclic P (d = 1) the one maximal subgroup is Phi(P) itself.
     """
     cached = P.cache.get("pmaximals")
     if cached is not None:
@@ -613,6 +617,9 @@ def _maximal_data(P: Group) -> tuple[list[tuple[int, ...]], list[Group]]:
         P.cache["pmaximals"] = ([], [])
         return P.cache["pmaximals"]
     p, phi, basis, d = _p_group_frame(P)
+    if d == 1:
+        P.cache["pmaximals"] = ([(1,)], [phi])
+        return P.cache["pmaximals"]
     pair_cache: dict[tuple[int, int, int], Permutation] = {}
 
     def lift(j: int, lead: int, k: int) -> Permutation:
@@ -653,8 +660,29 @@ def _maximal_data(P: Group) -> tuple[list[tuple[int, ...]], list[Group]]:
             Group(P.degree, phigens + ls, P.enum_cap, _known_emat=emat[inside])
             for ls, inside in zip(lifts, kernels)
         ]
+        P.cache["pkernels"] = kernels
     P.cache["pmaximals"] = (functionals, maximals)
     return P.cache["pmaximals"]
+
+
+def _maximal_masks(G: Group, P: Group) -> list[int]:
+    """Masks over G's index of the maximal subgroups of the p-subgroup P,
+    in the order of ``_maximal_data``: P's index set in G restricted to
+    each kernel row over P's index.  Where ``_maximal_data`` kept no
+    kernels (d = 1, or P above ``DEFAULT_TABLE_CAP``) the rows come from
+    looking the maximal subgroups up in P's index."""
+    maximals = _maximal_data(P)[1]
+
+    def build():
+        block = np.zeros((len(maximals), P.order()), dtype=bool)
+        for row, M in zip(block, maximals):
+            row[P.indices_of(M)] = True
+        return block
+
+    kernels = _cached(P, "pkernels", build)
+    block = np.zeros((len(maximals), G.order()), dtype=bool)
+    block[:, G.indices_of(P)] = kernels
+    return _row_masks(block)
 
 
 def maximal_subgroups_of_p_group(P: Group) -> list[Group]:

@@ -65,6 +65,7 @@ from .solubility import (
 )
 from .structure import (
     _maximal_data,
+    _maximal_masks,
     _o_p_mask,
     _p_residual_mask,
     _rank_mod_p,
@@ -162,20 +163,19 @@ def main_hypothesis(
     wit: dict = {"d": d, "maximal_count": len(maximals), "mode": mode.value}
     if d == 0:
         return True, wit
+    masks = _maximal_masks(G, P)
     if mode is HypothesisMode.CANONICAL:
         canonical = [
             functionals.index((0,) * i + (1,) + (0,) * (d - 1 - i)) for i in range(d)
         ]
         for i in canonical:
-            if not is_s_semipermutable(G, maximals[i]):
+            if not is_s_semipermutable(G, masks[i]):
                 wit["failing_member"] = _fmt_group(maximals[i])
                 wit["failure"] = _ssp_failure(G, maximals[i])
                 return False, wit
         wit["family"] = [_fmt_group(maximals[i]) for i in sorted(canonical)]
         return True, wit
-    passing = [
-        i for i, M in enumerate(maximals) if is_s_semipermutable(G, M)
-    ]
+    passing = [i for i, m in enumerate(masks) if is_s_semipermutable(G, m)]
     passed = set(passing)
     wit["passing_count"] = len(passing)
     if mode is HypothesisMode.FORALL:

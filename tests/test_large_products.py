@@ -97,14 +97,16 @@ def test_table_is_the_row_composition_product(large_products):
     ids=["C2^3", "S3xS3", "A4xC2"],
 )
 def test_find_over_the_whole_symmetric_group(make):
-    """``_find`` on every permutation of G's points: the index of each
-    element, -1 for everything else.  Some non-members share the first
-    base image with an element but no element has their first two, so the
-    key walk runs on from the -1 row."""
+    """``_find`` on every permutation of G's points, and the array lookup
+    ``_lookup`` on their base images: the index of each element, -1 for
+    everything else.  Some non-members share the first base image with an
+    element but no element has their first two, so the key walk runs on
+    from the -1 row."""
     G = make()
     index = {p.images: i for i, p in enumerate(G.elements())}
     G._ensure_index()
     base = G._base.tolist()
+    by_base = {tuple(images[b] for b in base): i for images, i in index.items()}
     firsts = {images[base[0]] for images in index}
     pairs = {(images[base[0]], images[base[1]]) for images in index}
     left_early = 0
@@ -113,3 +115,6 @@ def test_find_over_the_whole_symmetric_group(make):
         first, second = images[base[0]], images[base[1]]
         left_early += first in firsts and (first, second) not in pairs
     assert len(base) >= 3 and left_early > 0
+    prefixes = np.array(list(itertools.permutations(range(G.degree), len(base))))
+    want = [by_base.get(tuple(row), -1) for row in prefixes.tolist()]
+    assert G._lookup(prefixes.T, len(prefixes)).tolist() == want

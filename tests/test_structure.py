@@ -15,8 +15,11 @@ from grouplab.corpus import (
 from grouplab.errors import LatticeCapError, NotAPGroupError
 from grouplab.groups import is_normal, normalizer, subgroup_generated
 from grouplab.perms import Permutation
+from grouplab import structure
 from grouplab.structure import (
     _element_orders,
+    _maximal_data,
+    _maximal_masks,
     all_subgroups,
     all_sylow_subgroups,
     frattini_p_group,
@@ -222,6 +225,28 @@ def test_maximal_subgroups_are_maximal(name):
     for M, elems in zip(maximal_subgroups_of_p_group(P), computed):
         assert naive.closure(P.degree, M.generators) == elems
     assert frozenset(frattini_p_group(P).elements()) == naive.frattini(P.degree, E)
+
+
+def test_maximal_masks_are_the_maximal_subgroups_masks():
+    """The masks handed to the main check's predicates are G's masks of
+    the maximal subgroups, in ``_maximal_data`` order, for every Sylow
+    subgroup of corpus 60."""
+    for ng in builtin_corpus(60):
+        G = ng.group
+        for p in structure.primes_of(G):
+            P = sylow_subgroup(G, p)
+            maximals = _maximal_data(P)[1]
+            assert _maximal_masks(G, P) == [G.mask_of(M) for M in maximals], ng.name
+
+
+def test_cyclic_p_group_has_phi_as_its_maximal_subgroup(monkeypatch):
+    """d = 1: the one maximal subgroup is Phi(P), with no coordinates."""
+    monkeypatch.setattr(structure, "_frattini_coordinates", None)
+    for P in (cyclic(27), cyclic(5), sylow_subgroup(dihedral(18), 3)):
+        functionals, maximals = _maximal_data(P)
+        assert functionals == [(1,)] and maximals == [frattini_p_group(P)]
+        assert maximals[0] is structure._p_group_frame(P)[1]
+        assert maximals[0].order() == P.order() // structure.p_group_prime(P)
 
 
 def test_smallest_generator_number(d8):
