@@ -422,7 +422,7 @@ def _normal_atom_masks(G: Group) -> list[int]:
             hit[tbl[frontier[:, None], np.flatnonzero(member)]] = True
             frontier = np.flatnonzero(hit & ~member)
             member |= hit
-        atom_of[cyc] = _row_masks(member[None, :])[0]
+        atom_of[cyc] = mask_from_indices(np.nonzero(member)[0], n)
     atoms = sorted(set(atom_of.values()), key=lambda m: (m.bit_count(), m))
     G.cache["normal_atoms"] = atoms
     return atoms
