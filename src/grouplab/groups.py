@@ -310,12 +310,14 @@ class Group:
         Needs the index built.
 
         Each level's step is one 1-D ``take`` from its key table read flat,
-        at ``key * degree + image``: a key of -1 lands in the last row,
-        which is all -1.
+        at ``key * degree + image`` (formed in place in the key array): a
+        key of -1 lands in the last row, which is all -1.
         """
         key = np.zeros(shape, dtype=np.int32)
         for table, images in zip(self._keys, base_images):
-            key = table.ravel().take(key * self.degree + images)
+            key *= self.degree
+            key += images
+            key = table.ravel().take(key)
         return key
 
     def _find(self, g: Permutation) -> int:

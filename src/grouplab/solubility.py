@@ -64,7 +64,7 @@ def chief_series(G: Group) -> ChiefSeries:
     The atoms are the rows of one bool block over G's index, so |A∩N| for
     every atom is one count over N's columns, and the order of every join
     follows as |N||A|/|N∩A|.  Only the joins of least order are built,
-    all into one block (in slices of at most 2^20 products or entries), and
+    all into one block (in slices of at most 2^18 products or entries), and
     each must have exactly that order.
 
     G's cache keeps the masks and factor orders without G itself, so that
@@ -84,7 +84,7 @@ def chief_series(G: Group) -> ChiefSeries:
         least = orders.min()
         built = []
         rows = np.flatnonzero(orders == least)
-        step = max(1, (1 << 20) // max(n, len(cur_idx) * int(sizes[rows].max())))
+        step = max(1, (1 << 18) // max(n, len(cur_idx) * int(sizes[rows].max())))
         for lo in range(0, len(rows), step):
             part = atoms[rows[lo : lo + step]]
             r, a_idx = np.nonzero(part)
