@@ -69,11 +69,13 @@ from .corpus import (
     NamedGroup,
     alternating,
     builtin_corpus,
+    clear_group_cache,
     corpus_manifest,
     cyclic,
     dihedral,
     direct_product,
     elementary_abelian,
+    group_cache_info,
     load_group_file,
     named_group,
     parse_group_file,

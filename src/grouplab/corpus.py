@@ -11,12 +11,22 @@ Cycle notation is 1-based disjoint-cycle form with whitespace-separated
 points; the identity is written ``()``.  A generator may instead be given
 as a 1-based image array under the alternative key ``gen-images``, e.g.
 ``gen-images: 2 3 1``.
+
+``GroupFile.to_group`` hands back the ``Group`` already built for an
+earlier group file with the same degree and generator lines, from a
+least-recently-used cache of at most ``GROUP_CACHE_SIZE`` groups.  A group
+whose order is known to exceed ``GROUP_CACHE_MAX_ORDER`` is dropped at the
+next lookup, so the cache retains at most 32 dense tables of at most
+64 KiB each.  A repeated request thus finds G with everything its
+``cache`` already holds.
 """
 
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CycleFormatError
 from .groups import Group, group_from_generators
@@ -37,8 +47,73 @@ class GroupFile:
     generators: list[str]
 
     def to_group(self) -> Group:
-        gens = [Permutation.parse(self.degree, text) for text in self.generators]
-        return group_from_generators(self.degree, gens)
+        """The group of these generators: the cached one if an earlier
+        group file had the same degree and generator lines."""
+        return _cached_group(self.degree, tuple(self.generators))
+
+
+# -- the group-file cache ------------------------------------------------------
+
+GROUP_CACHE_SIZE = 32
+"""Most groups the group-file cache holds."""
+
+GROUP_CACHE_MAX_ORDER = 128
+"""Largest order the cache keeps past the next lookup (a 64 KiB table)."""
+
+_groups: OrderedDict[tuple[int, tuple[str, ...]], Group] = OrderedDict()
+_counts = {"hits": 0, "misses": 0}
+
+
+class GroupCacheInfo(NamedTuple):
+    """What :func:`group_cache_info` reports."""
+
+    hits: int
+    misses: int
+    entries: int
+    table_bytes: int
+
+
+def _cached_group(degree: int, generators: tuple[str, ...]) -> Group:
+    """The group on ``degree`` points generated by the cycle texts, from
+    the cache or built and entered into it.  Computes nothing beyond the
+    lookup: an order not yet known is not computed, so a large group goes
+    at the first lookup after its order is found."""
+    large = [k for k, G in _groups.items() if (G._order or 0) > GROUP_CACHE_MAX_ORDER]
+    for key in large:
+        del _groups[key]
+    key = (degree, generators)
+    G = _groups.get(key)
+    if G is not None:
+        _counts["hits"] += 1
+        _groups.move_to_end(key)
+        return G
+    _counts["misses"] += 1
+    G = group_from_generators(
+        degree, [Permutation.parse(degree, text) for text in generators]
+    )
+    _groups[key] = G
+    if len(_groups) > GROUP_CACHE_SIZE:
+        _groups.popitem(last=False)
+    return G
+
+
+def group_cache_info() -> GroupCacheInfo:
+    """Hits and misses of ``GroupFile.to_group`` since the last clear, the
+    groups held, and the bytes of the dense tables they retain."""
+    return GroupCacheInfo(
+        hits=_counts["hits"],
+        misses=_counts["misses"],
+        entries=len(_groups),
+        table_bytes=sum(
+            G._table.nbytes for G in _groups.values() if G._table is not None
+        ),
+    )
+
+
+def clear_group_cache() -> None:
+    """Empty the group-file cache and reset its counts."""
+    _groups.clear()
+    _counts.update(hits=0, misses=0)
 
 
 # -- constructions ---------------------------------------------------------
@@ -265,7 +340,7 @@ def parse_group_file(text: str) -> GroupFile:
             )
         gens[pos] = Permutation([v - 1 for v in images]).cycle_string()
     gf = GroupFile(name=name, degree=degree, generators=gens)
-    gf.to_group()  # validate cycle syntax eagerly
+    gf.to_group()  # validates the cycles; the group waits in the cache
     return gf
 
 

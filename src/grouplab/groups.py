@@ -230,13 +230,21 @@ class Group:
         return self.contains(g)
 
     def elements(self) -> tuple[Permutation, ...]:
-        """All elements, sorted lexicographically by image array.
-
-        The Permutations are made from the rows of the element matrix
-        ``_emat``, which a group derived from an enumerated one is given and
-        any other builds here: the products of the stabilizer-chain
-        transversals, one level at a time from the deepest, rows sorted.
+        """All elements, sorted lexicographically by image array: one
+        Permutation per row of the element matrix, made on the first call.
         Raises EnumerationCapError when the order exceeds the cap.
+        """
+        if self._elements is None:
+            rows = self._matrix().tolist()
+            self._elements = tuple(Permutation._unchecked(tuple(r)) for r in rows)
+        return self._elements
+
+    def _matrix(self) -> np.ndarray:
+        """The element matrix ``_emat``, which a group derived from an
+        enumerated one is given and any other builds here: the products of
+        the stabilizer-chain transversals, one level at a time from the
+        deepest, rows sorted.  Raises EnumerationCapError when the order
+        exceeds the cap.
         """
         if self._emat is None:
             n = self.order()
@@ -253,15 +261,6 @@ class Group:
                 # x * u has images u[x]
                 emat = u[:, emat].reshape(-1, self.degree)
             self._emat = emat[np.lexsort(emat.T[::-1])]
-        if self._elements is None:
-            rows = self._emat.tolist()
-            self._elements = tuple(Permutation._unchecked(tuple(r)) for r in rows)
-        return self._elements
-
-    def _matrix(self) -> np.ndarray:
-        """The element matrix, enumerated by :meth:`elements` if not given."""
-        if self._emat is None:
-            self.elements()
         return self._emat
 
     def _ensure_index(self) -> None:

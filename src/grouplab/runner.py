@@ -15,7 +15,6 @@ in a check becomes a failed ``error:<Type>`` record and the run goes on.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .corpus import NamedGroup, write_group_file
@@ -354,7 +353,10 @@ def run_corpus(
 
     if parallelism > 1:
         # one process per group chain: chains share nothing, so workers
-        # run truly in parallel and every cache is filled exactly once
+        # run truly in parallel and every cache is filled exactly once;
+        # imported here so that importing grouplab loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         specs = [
             _chain_spec(ng, check_ids, mode, lattice_cap, abort_on_violation)
             for ng in sorted(corpus, key=lambda ng: ng.name)

@@ -692,9 +692,9 @@ def verify_srinivasan(
     wit: dict = {"checked": 0}
     for p in primes_of(G):
         for P in all_sylow_subgroups(G, p).all:
-            for M in _maximal_data(P)[1]:
+            for M, mask in zip(_maximal_data(P)[1], _maximal_masks(G, P)):
                 wit["checked"] += 1
-                if not is_s_permutable(G, M):
+                if not is_s_permutable(G, mask):
                     hyp = False
                     wit["failing_member"] = _fmt_group(M)
                     wit["prime"] = p

@@ -1,0 +1,121 @@
+"""The group-file cache behind ``GroupFile.to_group``: keys, bounds, and
+answers on reused groups equal to answers on freshly built ones."""
+
+import dataclasses
+import os
+import subprocess
+import sys
+
+import pytest
+
+import grouplab
+from grouplab import (
+    CycleFormatError,
+    HypothesisMode,
+    Permutation,
+    builtin_corpus,
+    group_from_generators,
+    parse_group_file,
+    verify_main,
+    write_group_file,
+)
+from grouplab.corpus import (
+    GROUP_CACHE_MAX_ORDER,
+    GROUP_CACHE_SIZE,
+    clear_group_cache,
+    group_cache_info,
+)
+from grouplab.structure import primes_of
+
+
+@pytest.fixture(autouse=True)
+def empty_cache():
+    clear_group_cache()
+    yield
+    clear_group_cache()
+
+
+def _group(text):
+    return parse_group_file(text).to_group()
+
+
+def test_same_text_same_group_other_text_other_group():
+    G = _group("name: a\ndegree: 4\ngen: (1 2 3)\n")
+    assert _group("name: b\ndegree: 4\ngen: (1 2 3)\n") is G
+    other_gen = _group("name: a\ndegree: 4\ngen: (1 2 3 4)\n")
+    other_degree = _group("name: a\ndegree: 5\ngen: (1 2 3)\n")
+    assert other_gen is not G and other_gen.order() == 4
+    assert other_degree is not G and other_degree.degree == 5
+    assert G.degree == 4 and G.order() == 3
+    info = group_cache_info()
+    # each parse builds (or finds) the group once and to_group finds it
+    assert (info.hits, info.misses, info.entries) == (5, 3, 3)
+
+
+def test_entries_bounded():
+    for k in range(40):
+        _group(f"name: c\ndegree: {k + 2}\ngen: (1 2)\n")
+    assert group_cache_info().entries <= GROUP_CACHE_SIZE
+    # the most recent texts are the ones kept
+    assert _group("name: c\ndegree: 41\ngen: (1 2)\n").degree == 41
+    assert group_cache_info().misses == 40
+
+
+def test_large_group_dropped_at_next_lookup():
+    small = _group("name: s\ndegree: 4\ngen: (1 2 3 4)\ngen: (1 2)\n")
+    small.table()
+    big = _group("name: b\ndegree: 6\ngen: (1 2 3 4 5 6)\ngen: (1 2)\n")
+    assert big.order() == 720 > GROUP_CACHE_MAX_ORDER
+    assert group_cache_info().entries == 2
+    _group("name: t\ndegree: 3\ngen: (1 2 3)\n")
+    info = group_cache_info()
+    assert info.entries == 2 and info.table_bytes == small._table.nbytes
+    assert _group("name: b\ndegree: 6\ngen: (1 2 3 4 5 6)\ngen: (1 2)\n") is not big
+    assert _group("name: s\ndegree: 4\ngen: (1 2 3 4)\ngen: (1 2)\n") is small
+
+
+def test_failed_parse_leaves_no_entry():
+    with pytest.raises(CycleFormatError):
+        _group("name: x\ndegree: 3\ngen: (1 2)\ngen: (1 4)\n")
+    with pytest.raises(CycleFormatError):
+        _group("name: x\ndegree: 3\ngen-images: 1 1 2\n")
+    assert group_cache_info().entries == 0
+
+
+def _record(G, p, mode, name):
+    return dataclasses.replace(verify_main(G, p, mode, name), elapsed=0.0)
+
+
+def test_reused_groups_give_fresh_answers():
+    """Every group of corpus 64 at every prime and in every mode: the main
+    check twice on the cached group equals the main check on a group built
+    afresh from the same text.  The same generator lines on one more point
+    give the group on that many points."""
+    for ng in builtin_corpus(64):
+        text = write_group_file(ng)
+        gf = parse_group_file(text)
+        G = gf.to_group()
+        gens = [Permutation.parse(gf.degree, t) for t in gf.generators]
+        for p in primes_of(G):
+            for mode in HypothesisMode:
+                want = _record(group_from_generators(gf.degree, gens), p, mode, gf.name)
+                assert _record(G, p, mode, gf.name) == want, (gf.name, p, mode)
+                assert _record(G, p, mode, gf.name) == want, (gf.name, p, mode)
+        assert G._elements is None  # the checks use the matrix, not Permutations
+        n = gf.degree + 1
+        padded = _group(text.replace(f"degree: {n - 1}\n", f"degree: {n}\n"))
+        gens = [Permutation.parse(n, t) for t in gf.generators]
+        assert padded.same_elements(group_from_generators(n, gens)), gf.name
+    assert group_cache_info().hits > 0
+
+
+def test_import_loads_no_multiprocessing():
+    """The process pool is imported only for a parallel run, so the memory
+    of importing grouplab leaves room for the cache."""
+    src = os.path.dirname(os.path.dirname(grouplab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, grouplab; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
