@@ -132,7 +132,11 @@ def sylow_subgroup(G: Group, p: int) -> Group:
     of the first element of order divisible by p, adding the first
     p-element of N_G(P) outside P at each step; the result takes G's rows.
 
-    Returns the trivial subgroup when p does not divide |G|.
+    The result is shared: when 1 < |G|_p < |G|, G's cache keeps it under
+    ``("sylow", p)``, so every caller gets the same P, and with it P's own
+    cache (its table, Phi(P), maximal subgroups and kernels).  The trivial
+    subgroup (p not dividing |G|) and G itself (a p-group) are returned
+    uncached: keeping G in its own cache would make a reference cycle.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -142,6 +146,13 @@ def sylow_subgroup(G: Group, p: int) -> Group:
         return Group(G.degree, (), G.enum_cap)
     if target == n:
         return G
+    return _cached(G, ("sylow", p), lambda: _sylow_by_ascent(G, p, target))
+
+
+def _sylow_by_ascent(G: Group, p: int, target: int) -> Group:
+    """The normalizer ascent of :func:`sylow_subgroup`, for a proper
+    nontrivial Sylow p-subgroup of order ``target``."""
+    n = G.order()
     tbl = G.table()
     orders = _element_orders(G)
     x = int(np.flatnonzero(orders % p == 0)[0])
@@ -163,21 +174,28 @@ def sylow_subgroup(G: Group, p: int) -> Group:
     return Group(G.degree, gens, G.enum_cap, _known_emat=G._matrix()[idx])
 
 
+def _shared_sylows(G: Group) -> list[Group]:
+    """The Sylow subgroups that G's cache keeps (see :func:`sylow_subgroup`)."""
+    return [v for k, v in G.cache.items() if isinstance(k, tuple) and k[0] == "sylow"]
+
+
 def all_sylow_subgroups(G: Group, p: int) -> SylowSystem:
     """The complete conjugacy class of Sylow p-subgroups.
 
-    G's cache keeps the system without G itself, so that it makes no
-    reference cycle and a dropped G is freed at once, table and all.
+    The representative is :func:`sylow_subgroup`'s shared P, so G holds
+    one P per prime.  G's cache keeps the masks under ``("sylows", p)``;
+    neither entry holds G itself, so they make no reference cycle and a
+    dropped G is freed at once, table and all.  For P = 1 or P = G the
+    single mask is the index prefix of length |P|, and nothing is cached.
     """
+    rep = sylow_subgroup(G, p)
+    if rep.order() == G.order() or rep.is_trivial:
+        # 1 and G are the index prefixes of lengths 1 and |G|
+        return SylowSystem(G, p, rep, [(1 << rep.order()) - 1])
     key = ("sylows", p)
     cached = G.cache.get(key)
     if cached is not None:
-        return SylowSystem(G, p, *cached)
-    rep = sylow_subgroup(G, p)
-    if rep.order() == G.order() or rep.is_trivial:
-        # 1 and G are the index prefixes of lengths 1 and |G|; not cached,
-        # as rep may be G and costs nothing to find again
-        return SylowSystem(G, p, rep, [(1 << rep.order()) - 1])
+        return SylowSystem(G, p, rep, cached)
     cvecs = [G.conjugation_vector(G.element_index(g)) for g in G.generators]
     start = G.indices_of(rep)
     seen_masks = {mask_from_indices(start, G.order()): start}
@@ -191,7 +209,7 @@ def all_sylow_subgroups(G: Group, p: int) -> SylowSystem:
                 seen_masks[m] = conj
                 queue.append(conj)
     masks = sorted(seen_masks)
-    G.cache[key] = (rep, masks)
+    G.cache[key] = masks
     return SylowSystem(G, p, rep, masks)
 
 

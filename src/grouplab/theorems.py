@@ -54,6 +54,7 @@ from .permutability import (
     _lattice_rows,
     is_s_permutable,
     is_s_semipermutable,
+    permutes_with,
     product_set,
 )
 from .solubility import (
@@ -64,6 +65,7 @@ from .solubility import (
     is_supersoluble,
 )
 from .structure import (
+    _mask_rows,
     _maximal_data,
     _maximal_masks,
     _o_p_mask,
@@ -129,18 +131,26 @@ def _fmt_group(H: Group) -> str:
     return f"order {H.order()} = <{gens}>"
 
 
-def _ssp_failure(G: Group, H: Group) -> dict:
-    """First Sylow subgroup of coprime order that H fails to permute with."""
+def _ssp_failure(G: Group, mask: int) -> dict:
+    """First Sylow subgroup of coprime order that the subgroup H with mask
+    ``mask`` fails to permute with.
+
+    The Sylow q-subgroups are the masks of G's shared Sylow systems
+    (:func:`all_sylow_subgroups`; for a q-group G the one mask is G's own,
+    kept nowhere).  HQ = QH is decided on each mask against H's one row,
+    and only the first failing Q becomes a ``Group``, for its generator
+    text; its product size comes from one ``product_set`` on masks.
+    """
+    rows = _mask_rows([mask], G.order())
     for q in primes_of(G):
-        if H.order() % q == 0:
+        if mask.bit_count() % q == 0:
             continue
-        for Q in all_sylow_subgroups(G, q).all:
-            r = product_set(G, H, Q)
-            if not r.equal:
+        for Q in all_sylow_subgroups(G, q).masks:
+            if not permutes_with(G, rows, Q)[0]:
                 return {
                     "prime": q,
-                    "sylow": _fmt_group(Q),
-                    "product_size": r.cardinality,
+                    "sylow": _fmt_group(G.subgroup_from_mask(Q)),
+                    "product_size": product_set(G, mask, Q).cardinality,
                     "hk_equals_kh": False,
                 }
     return {}
@@ -171,7 +181,7 @@ def main_hypothesis(
         for i in canonical:
             if not is_s_semipermutable(G, masks[i]):
                 wit["failing_member"] = _fmt_group(maximals[i])
-                wit["failure"] = _ssp_failure(G, maximals[i])
+                wit["failure"] = _ssp_failure(G, masks[i])
                 return False, wit
         wit["family"] = [_fmt_group(maximals[i]) for i in sorted(canonical)]
         return True, wit
@@ -185,7 +195,7 @@ def main_hypothesis(
             return True, wit
         failing = next(i for i in range(len(maximals)) if i not in passed)
         wit["failing_member"] = _fmt_group(maximals[failing])
-        wit["failure"] = _ssp_failure(G, maximals[failing])
+        wit["failure"] = _ssp_failure(G, masks[failing])
         return False, wit
     # exists: some d linearly independent passing functionals
     basis: list[int] = []
@@ -201,7 +211,7 @@ def main_hypothesis(
     failing = [i for i in range(len(maximals)) if i not in passed]
     if failing:
         wit["failing_member"] = _fmt_group(maximals[failing[0]])
-        wit["failure"] = _ssp_failure(G, maximals[failing[0]])
+        wit["failure"] = _ssp_failure(G, masks[failing[0]])
     return False, wit
 
 

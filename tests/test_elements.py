@@ -14,6 +14,7 @@ import pytest
 
 import naive
 from grouplab.corpus import (
+    alternating,
     builtin_corpus,
     cyclic,
     dihedral,
@@ -24,7 +25,7 @@ from grouplab.corpus import (
 from grouplab import groups
 from grouplab.groups import Group, normal_closure
 from grouplab.perms import Permutation
-from grouplab.structure import lattice_masks, normal_subgroup_masks
+from grouplab.structure import lattice_masks, normal_subgroup_masks, primes_of
 from grouplab.theorems import (
     HypothesisMode,
     verify_lemma_2_1,
@@ -130,17 +131,27 @@ def test_table_build_memory_stays_near_the_table():
 
 
 def test_checked_group_is_freed_without_the_cycle_collector():
-    """G's caches (Sylow systems, chief series, the quotients of the lemma
-    suites) hold no reference back to G, so a dropped group and its table
-    are freed at once rather than at the next full cyclic collection."""
+    """G's caches (the shared Sylow subgroups and systems, chief series,
+    the quotients of the lemma suites) hold no reference back to G, so a
+    dropped group and its table are freed at once rather than at the next
+    full cyclic collection.  D8 is its own Sylow 2-subgroup, which G's
+    cache must not keep, and A4 fails the canonical check at p = 2, which
+    builds a failure witness."""
+    witnessed = []
     gc.collect()
     gc.disable()
     try:
-        for make in (lambda: symmetric(4), lambda: dihedral(12)):
+        for name, make in (
+            ("S4", lambda: symmetric(4)),
+            ("D12", lambda: dihedral(12)),
+            ("D8", lambda: dihedral(8)),
+            ("A4", lambda: alternating(4)),
+        ):
             G = make()
-            for p in (2, 3):
+            for p in primes_of(G):
                 for mode in HypothesisMode:
-                    verify_main(G, p, mode)
+                    hyp = verify_main(G, p, mode).witnesses["hypothesis"]
+                    witnessed.append((name, p, mode, "failure" in hyp))
             verify_lemma_2_1(G)
             verify_lemma_2_2(G)
             assert any(k[0] == "quotient" for k in G.cache if isinstance(k, tuple))
@@ -150,6 +161,8 @@ def test_checked_group_is_freed_without_the_cycle_collector():
             assert ref() is None
     finally:
         gc.enable()
+    assert ("D8", 2, HypothesisMode.EXISTS, False) in witnessed
+    assert ("A4", 2, HypothesisMode.CANONICAL, True) in witnessed
 
 
 NO_TABLE = {

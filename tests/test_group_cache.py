@@ -16,7 +16,9 @@ from grouplab import (
     builtin_corpus,
     group_from_generators,
     parse_group_file,
+    verify_corollary_4_3,
     verify_main,
+    verify_srinivasan,
     write_group_file,
 )
 from grouplab.corpus import (
@@ -25,7 +27,8 @@ from grouplab.corpus import (
     clear_group_cache,
     group_cache_info,
 )
-from grouplab.structure import primes_of
+from grouplab import structure
+from grouplab.structure import p_part, primes_of, sylow_subgroup
 
 
 @pytest.fixture(autouse=True)
@@ -62,14 +65,23 @@ def test_entries_bounded():
 
 
 def test_large_group_dropped_at_next_lookup():
+    """The retained table bytes are the small group's table and those of
+    its Sylow subgroups, which a check at every prime builds; the large
+    group goes with its own."""
     small = _group("name: s\ndegree: 4\ngen: (1 2 3 4)\ngen: (1 2)\n")
-    small.table()
     big = _group("name: b\ndegree: 6\ngen: (1 2 3 4 5 6)\ngen: (1 2)\n")
+    for G in (small, big):
+        for p in primes_of(G):
+            verify_main(G, p)
     assert big.order() == 720 > GROUP_CACHE_MAX_ORDER
     assert group_cache_info().entries == 2
     _group("name: t\ndegree: 3\ngen: (1 2 3)\n")
     info = group_cache_info()
-    assert info.entries == 2 and info.table_bytes == small._table.nbytes
+    sylows = [sylow_subgroup(small, p) for p in primes_of(small)]
+    assert [P.order() for P in sylows] == [8, 3]
+    assert all(P._table is not None for P in sylows)
+    want = small._table.nbytes + sum(P._table.nbytes for P in sylows)
+    assert info.entries == 2 and info.table_bytes == want
     assert _group("name: b\ndegree: 6\ngen: (1 2 3 4 5 6)\ngen: (1 2)\n") is not big
     assert _group("name: s\ndegree: 4\ngen: (1 2 3 4)\ngen: (1 2)\n") is small
 
@@ -82,31 +94,77 @@ def test_failed_parse_leaves_no_entry():
     assert group_cache_info().entries == 0
 
 
-def _record(G, p, mode, name):
-    return dataclasses.replace(verify_main(G, p, mode, name), elapsed=0.0)
+def _plain(record):
+    return dataclasses.replace(record, elapsed=0.0)
 
 
 def test_reused_groups_give_fresh_answers():
     """Every group of corpus 64 at every prime and in every mode: the main
     check twice on the cached group equals the main check on a group built
-    afresh from the same text.  The same generator lines on one more point
-    give the group on that many points."""
+    afresh from the same text.  Corollary 4.3 (one mode per prime, in
+    turn) and Srinivasan's theorem on the cached group, which then share
+    its Sylow subgroups with the main checks, equal them on fresh groups
+    too.  The same generator lines on one more point give the group on
+    that many points."""
+    modes = list(HypothesisMode)
     for ng in builtin_corpus(64):
         text = write_group_file(ng)
         gf = parse_group_file(text)
         G = gf.to_group()
         gens = [Permutation.parse(gf.degree, t) for t in gf.generators]
-        for p in primes_of(G):
+
+        def fresh():
+            return group_from_generators(gf.degree, gens)
+
+        for k, p in enumerate(primes_of(G)):
             for mode in HypothesisMode:
-                want = _record(group_from_generators(gf.degree, gens), p, mode, gf.name)
-                assert _record(G, p, mode, gf.name) == want, (gf.name, p, mode)
-                assert _record(G, p, mode, gf.name) == want, (gf.name, p, mode)
+                want = _plain(verify_main(fresh(), p, mode, gf.name))
+                for _ in range(2):
+                    got = _plain(verify_main(G, p, mode, gf.name))
+                    assert got == want, (gf.name, p, mode)
+            mode = modes[k % len(modes)]
+            want = _plain(verify_corollary_4_3(fresh(), p, mode, gf.name))
+            got = _plain(verify_corollary_4_3(G, p, mode, gf.name))
+            assert got == want, (gf.name, p, mode)
+        want = _plain(verify_srinivasan(fresh(), gf.name))
+        assert _plain(verify_srinivasan(G, gf.name)) == want, gf.name
         assert G._elements is None  # the checks use the matrix, not Permutations
         n = gf.degree + 1
         padded = _group(text.replace(f"degree: {n - 1}\n", f"degree: {n}\n"))
-        gens = [Permutation.parse(n, t) for t in gf.generators]
-        assert padded.same_elements(group_from_generators(n, gens)), gf.name
+        wider = [Permutation.parse(n, t) for t in gf.generators]
+        assert padded.same_elements(group_from_generators(n, wider)), gf.name
     assert group_cache_info().hits > 0
+
+
+def test_repeated_check_rebuilds_no_sylow_subgroup(monkeypatch):
+    """A second check of a cached group at the same prime finds P, and
+    with it Phi(P) and the maximal subgroups, in the caches: neither the
+    normalizer ascent nor the Frattini frame runs again."""
+    builds = []
+    ascent, frame = structure._sylow_by_ascent, structure._p_group_frame
+
+    def counted_ascent(G, p, target):
+        builds.append(("sylow", p))
+        return ascent(G, p, target)
+
+    def counted_frame(P):
+        if "pframe" not in P.cache:
+            builds.append(("pframe", P.order()))
+        return frame(P)
+
+    monkeypatch.setattr(structure, "_sylow_by_ascent", counted_ascent)
+    monkeypatch.setattr(structure, "_p_group_frame", counted_frame)
+    text = "name: s\ndegree: 4\ngen: (1 2 3 4)\ngen: (1 2)\n"
+    for p in (2, 3):
+        start = len(builds)
+        want = [_plain(verify_main(_group(text), p, mode)) for mode in HypothesisMode]
+        assert ("pframe", p_part(24, p)) in builds[start:]
+        start = len(builds)
+        for mode, record in zip(HypothesisMode, want):
+            assert _plain(verify_main(_group(text), p, mode)) == record
+        assert builds[start:] == [], p
+    # each Sylow subgroup was built once, by whichever check needed it first
+    assert sorted(b for b in builds if b[0] == "sylow") == [("sylow", 2), ("sylow", 3)]
 
 
 def test_import_loads_no_multiprocessing():

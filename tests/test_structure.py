@@ -54,6 +54,23 @@ def test_sylow_counts(s4, a4):
     assert all_sylow_subgroups(a4, 2).count == 1
 
 
+def test_sylow_subgroup_is_shared():
+    """A proper nontrivial Sylow subgroup is one object per (G, p), and it
+    is the Sylow system's representative; 1 and G are not kept in G's
+    cache, which would then hold G itself."""
+    for ng in builtin_corpus(64):
+        G = ng.group
+        for p in (2, 3, 5, 7):
+            P = sylow_subgroup(G, p)
+            if 1 < P.order() < G.order():
+                assert sylow_subgroup(G, p) is P, (ng.name, p)
+                assert all_sylow_subgroups(G, p).representative is P, (ng.name, p)
+            else:
+                assert all_sylow_subgroups(G, p).representative.order() == P.order()
+                assert ("sylow", p) not in G.cache, (ng.name, p)
+                assert ("sylows", p) not in G.cache, (ng.name, p)
+
+
 @pytest.fixture(scope="module")
 def sylow_corpus():
     corpus = [ng.group for ng in builtin_corpus(120)]
