@@ -134,7 +134,6 @@ def _cmd_verify(args) -> int:
             mode=HypothesisMode(args.mode),
             parallelism=args.jobs,
             lattice_cap=args.lattice_cap,
-            abort_on_violation=True,
             witness_path=args.witness,
             params=params,
         )

@@ -1,25 +1,31 @@
 """Corpus-wide verification runs, reports, and counterexample handling.
 
-Tasks fan out over (group, prime, check); every task touches only
-immutable group data and produces its own records, so results are
-aggregated order-independently and then canonically sorted.  Reports carry
+Each group is one chain: its tasks, one per (check, prime), run in a fixed
+order through :func:`_run_chain`, which stops at the first violation and
+then empties the group's cache.  The chains run in name order, in this
+process or in worker processes, which rebuild each group from its
+generator images; a chain touches only its own group, so the records come
+out the same either way and are then canonically sorted.  Reports carry
 no timing data, which is what makes them byte-identical regardless of the
 parallelism level.
 
 A genuine violation is a theorem counterexample: the run aborts with a
-serialized witness (group file, family and failing product-set data) so
-the counterexample can be re-checked independently.  Any other exception
-in a check becomes a failed ``error:<Type>`` record and the run goes on.
+serialized witness (the failing group's file, family and failing
+product-set data) so the counterexample can be re-checked independently.
+Any other exception in a check becomes a failed ``error:<Type>`` record
+and the run goes on.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 from .corpus import NamedGroup, write_group_file
 from .errors import CapExceededError, DEFAULT_LATTICE_CAP, GroupError
 from .groups import Group
+from .perms import Permutation
 from .structure import primes_of
 from .theorems import (
     HypothesisMode,
@@ -42,7 +48,25 @@ CHECK_ALIASES = {
     "srinivasan": ("srinivasan",),
 }
 
-_ALL_CHECKS = tuple(c for group in CHECK_ALIASES.values() for c in group)
+# check id -> (one task per prime?, run(G, name, p, mode, lattice_cap) -> records);
+# each run looks its verify_* up when called, so a patched one takes effect
+_CHECKS = {
+    "main": (True, lambda G, name, p, mode, cap: [verify_main(G, p, mode, name)]),
+    "lemma-2.1": (False, lambda G, name, p, mode, cap: verify_lemma_2_1(G, name, cap)),
+    "lemma-2.2": (False, lambda G, name, p, mode, cap: verify_lemma_2_2(G, name, cap)),
+    "lemma-2.3": (False, lambda G, name, p, mode, cap: verify_lemma_2_3(G, name, cap)),
+    "lemma-2.4": (False, lambda G, name, p, mode, cap: verify_lemma_2_4(G, name, cap)),
+    "cor-4.1": (
+        False, lambda G, name, p, mode, cap: verify_corollary_4_1(G, mode, name)
+    ),
+    "cor-4.2": (
+        True, lambda G, name, p, mode, cap: [verify_corollary_4_2(G, p, mode, name)]
+    ),
+    "cor-4.3": (
+        True, lambda G, name, p, mode, cap: [verify_corollary_4_3(G, p, mode, name)]
+    ),
+    "srinivasan": (False, lambda G, name, p, mode, cap: [verify_srinivasan(G, name)]),
+}
 
 
 class CounterexampleError(GroupError):
@@ -63,7 +87,7 @@ def expand_checks(tokens) -> list[str]:
         token = token.strip()
         if token in CHECK_ALIASES:
             out.extend(CHECK_ALIASES[token])
-        elif token in _ALL_CHECKS:
+        elif token in _CHECKS:
             out.append(token)
         else:
             raise ValueError(f"unknown check {token!r}")
@@ -188,67 +212,6 @@ def serialize_witness(ng: NamedGroup, record: VerificationRecord) -> str:
     )
 
 
-def _instance_tasks(
-    ng: NamedGroup,
-    check: str,
-    mode: HypothesisMode,
-    lattice_cap: int,
-):
-    """(sort_key, thunk) pairs for one group and one check id."""
-    G = ng.group
-    name = ng.name
-    tasks = []
-    if check == "main":
-        for p in primes_of(G):
-            tasks.append(
-                (
-                    (check, name, p),
-                    lambda G=G, p=p: [verify_main(G, p, mode, group_name=name)],
-                )
-            )
-    elif check == "lemma-2.1":
-        tasks.append(
-            ((check, name, 0), lambda: verify_lemma_2_1(G, name, lattice_cap))
-        )
-    elif check == "lemma-2.2":
-        tasks.append(
-            ((check, name, 0), lambda: verify_lemma_2_2(G, name, lattice_cap))
-        )
-    elif check == "lemma-2.3":
-        tasks.append(
-            ((check, name, 0), lambda: verify_lemma_2_3(G, name, lattice_cap))
-        )
-    elif check == "lemma-2.4":
-        tasks.append(
-            ((check, name, 0), lambda: verify_lemma_2_4(G, name, lattice_cap))
-        )
-    elif check == "srinivasan":
-        tasks.append(((check, name, 0), lambda: [verify_srinivasan(G, name)]))
-    elif check == "cor-4.1":
-        tasks.append(
-            ((check, name, 0), lambda: verify_corollary_4_1(G, mode, group_name=name))
-        )
-    elif check == "cor-4.2":
-        for p in primes_of(G):
-            tasks.append(
-                (
-                    (check, name, p),
-                    lambda p=p: [verify_corollary_4_2(G, p, mode, group_name=name)],
-                )
-            )
-    elif check == "cor-4.3":
-        for p in primes_of(G):
-            tasks.append(
-                (
-                    (check, name, p),
-                    lambda p=p: [verify_corollary_4_3(G, p, mode, group_name=name)],
-                )
-            )
-    else:
-        raise ValueError(f"unknown check {check!r}")
-    return tasks
-
-
 def _run_task(key, thunk) -> list[VerificationRecord]:
     """Run one task; a cap overrun becomes a skip and any other exception an
     error record, so one instance can never end the whole run."""
@@ -275,48 +238,36 @@ def _run_task(key, thunk) -> list[VerificationRecord]:
     ]
 
 
-def _chain_spec(ng, check_ids, mode, lattice_cap, abort_on_violation) -> tuple:
-    """Picklable description of one group's work (generator images only)."""
-    g = ng.group
-    return (
-        ng.name,
-        g.degree,
-        tuple(p.images for p in g.generators),
-        g.enum_cap,
-        tuple(check_ids),
-        mode.value,
-        lattice_cap,
-        abort_on_violation,
+def _run_chain(
+    ng: NamedGroup, check_ids, mode: HypothesisMode, lattice_cap: int
+) -> list[VerificationRecord]:
+    """One group's tasks in (check, prime) order, up to the first violation.
+
+    The group's ``cache`` is emptied afterwards: its entries would only
+    pile up while the rest of the corpus runs.
+    """
+    G, name = ng.group, ng.name
+    tasks = sorted(
+        (check, p)
+        for check in check_ids
+        for p in (primes_of(G) if _CHECKS[check][0] else [0])
     )
-
-
-def _run_chain_spec(spec) -> list[VerificationRecord]:
-    from .perms import Permutation
-
-    (
-        name,
-        degree,
-        gen_images,
-        enum_cap,
-        check_ids,
-        mode_value,
-        lattice_cap,
-        abort_on_violation,
-    ) = spec
-    G = Group(degree, [Permutation(im) for im in gen_images], enum_cap)
-    ng = NamedGroup(name, G)
-    tasks = []
-    for check in check_ids:
-        tasks.extend(
-            _instance_tasks(ng, check, HypothesisMode(mode_value), lattice_cap)
-        )
-    tasks.sort(key=lambda t: t[0])
     out: list[VerificationRecord] = []
-    for key, thunk in tasks:
-        out.extend(_run_task(key, thunk))
-        if abort_on_violation and any(r.violated for r in out):
+    for check, p in tasks:
+        run = _CHECKS[check][1]
+        batch = _run_task((check, name, p), lambda: run(G, name, p, mode, lattice_cap))
+        out.extend(batch)
+        if any(r.violated for r in batch):
             break
+    G.cache.clear()
     return out
+
+
+def _run_chain_spec(spec, **chain) -> list[VerificationRecord]:
+    """A worker's chain: the group is rebuilt from its generator images."""
+    name, degree, gen_images, enum_cap = spec
+    G = Group(degree, [Permutation(im) for im in gen_images], enum_cap)
+    return _run_chain(NamedGroup(name, G), **chain)
 
 
 def run_corpus(
@@ -325,66 +276,52 @@ def run_corpus(
     mode: HypothesisMode = HypothesisMode.EXISTS,
     parallelism: int = 1,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
-    abort_on_violation: bool = True,
     witness_path: str | None = None,
     params: dict | None = None,
 ) -> Report:
     """Evaluate the requested checks on every applicable (group, prime).
 
-    Cap overruns are recorded as skips, never as passes; other exceptions
-    as failed error records.  The first violation, else the first error, is
-    serialized to ``witness_path``.  On a violation the run aborts
-    (CounterexampleError carries the partial report) unless
-    ``abort_on_violation`` is false.  Each group's ``cache`` is emptied
-    once its checks are done, so a run holds one group's caches at a time.
+    Each group is one chain (:func:`_run_chain`); the chains run in name
+    order, here or, when ``parallelism`` > 1, in worker processes.  Cap
+    overruns are recorded as skips, never as passes; other exceptions as
+    failed error records.  The first violation, else the first error, in
+    report order, is serialized to ``witness_path`` with the group it came
+    from.  On a violation the run aborts (CounterexampleError carries the
+    partial report) and cancels the chains still pending in the pool.
     """
     mode = HypothesisMode(mode)
     check_ids = expand_checks(checks)
-    by_name = {ng.name: ng for ng in corpus}
-    results: list[list[VerificationRecord]] = []
-
-    def consume(batches) -> None:
-        # consuming in canonical group order keeps the abort point (and the
-        # partial report) deterministic even under parallel execution
-        for batch in batches:
-            results.append(batch)
-            if abort_on_violation and any(r.violated for r in batch):
-                return
-
+    chain = dict(check_ids=check_ids, mode=mode, lattice_cap=lattice_cap)
+    ordered = sorted(corpus, key=lambda ng: ng.name)
+    pool = None
     if parallelism > 1:
-        # one process per group chain: chains share nothing, so workers
-        # run truly in parallel and every cache is filled exactly once;
-        # imported here so that importing grouplab loads no multiprocessing
+        # chains share nothing, so workers run truly in parallel and every
+        # cache is filled exactly once; imported here so that importing
+        # grouplab loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        pool = ProcessPoolExecutor(max_workers=parallelism)
         specs = [
-            _chain_spec(ng, check_ids, mode, lattice_cap, abort_on_violation)
-            for ng in sorted(corpus, key=lambda ng: ng.name)
+            (ng.name, g.degree, tuple(x.images for x in g.generators), g.enum_cap)
+            for ng in ordered
+            for g in [ng.group]
         ]
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            consume(pool.map(_run_chain_spec, specs, chunksize=8))
+        batches = pool.map(partial(_run_chain_spec, **chain), specs, chunksize=8)
     else:
-        chains: dict[str, list] = {}
-        for ng in corpus:
-            for check in check_ids:
-                for key, thunk in _instance_tasks(ng, check, mode, lattice_cap):
-                    chains.setdefault(key[1], []).append((key, thunk))
-        for chain in chains.values():
-            chain.sort(key=lambda t: t[0])
-
-        def run_chain(name: str) -> list[VerificationRecord]:
-            out = []
-            for key, thunk in chains[name]:
-                out.extend(_run_task(key, thunk))
-                if abort_on_violation and any(r.violated for r in out):
-                    break
-            # the group's checks are done: its caches would only pile up
-            # while the rest of the corpus runs
-            by_name[name].group.cache.clear()
-            return out
-
-        consume(run_chain(name) for name in sorted(chains))
-    records = [r for batch in results for r in batch]
+        batches = map(partial(_run_chain, **chain), ordered)
+    records: list[VerificationRecord] = []
+    owner: dict[int, NamedGroup] = {}
+    try:
+        # consuming in name order keeps the abort point (and the partial
+        # report) deterministic even under parallel execution
+        for ng, batch in zip(ordered, batches):
+            records += batch
+            owner.update((id(r), ng) for r in batch)
+            if any(r.violated for r in batch):
+                break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     records.sort(key=lambda r: (r.check, r.group, r.prime or 0))
     report = Report(
         params=params
@@ -400,8 +337,8 @@ def run_corpus(
         record = failures[0]
         if witness_path:
             with open(witness_path, "w", encoding="utf-8") as fh:
-                fh.write(serialize_witness(by_name[record.group], record))
-        if record.violated and abort_on_violation:
+                fh.write(serialize_witness(owner[id(record)], record))
+        if record.violated:
             raise CounterexampleError(record, report)
     return report
 

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grouplab import theorems
-from grouplab.corpus import builtin_corpus, cyclic, named_group
+from grouplab.corpus import (
+    NamedGroup,
+    builtin_corpus,
+    cyclic,
+    named_group,
+    write_group_file,
+)
 from grouplab.groups import CosetMap, Group
 from grouplab.perms import Permutation
 from grouplab.permutability import is_s_semipermutable
@@ -215,8 +221,9 @@ def test_run_corpus_skip_policy():
 
 def test_report_determinism_across_parallelism():
     corpus = builtin_corpus(24)
-    r1 = run_corpus(corpus, checks=["main", "srinivasan"], parallelism=1)
-    r2 = run_corpus(builtin_corpus(24), checks=["main", "srinivasan"], parallelism=3)
+    checks = ["main", "srinivasan", "lemmas", "corollaries"]
+    r1 = run_corpus(corpus, checks=checks, parallelism=1)
+    r2 = run_corpus(builtin_corpus(24), checks=checks, parallelism=3)
     assert r1.render("text") == r2.render("text")
     assert r1.render("jsonl") == r2.render("jsonl")
 
@@ -311,6 +318,30 @@ def test_stray_exception_becomes_error_record(tmp_path, monkeypatch):
     assert "error:AssertionError" in report.render("text")
     content = witness.read_text()
     assert "normalizer ascent stalled" in content and "name: S3" in content
+
+
+def test_same_name_groups_keep_their_own_chain(tmp_path, monkeypatch):
+    # two groups under one name are two chains: each one's cache is emptied,
+    # and the witness is the group file of the group that failed
+    import grouplab.runner as runner_mod
+
+    s4 = NamedGroup("X", named_group("S4").group)
+    c6 = NamedGroup("X", cyclic(6))
+    run_corpus([s4, c6], checks=["main"])
+    assert s4.group.cache == {} and c6.group.cache == {}
+
+    real_verify_main = runner_mod.verify_main
+
+    def failing_on_s4(G, p, mode=HypothesisMode.EXISTS, group_name="?"):
+        if G.degree == 4:
+            raise AssertionError("forced")
+        return real_verify_main(G, p, mode, group_name=group_name)
+
+    monkeypatch.setattr(runner_mod, "verify_main", failing_on_s4)
+    witness = tmp_path / "witness.txt"
+    report = run_corpus([s4, c6], checks=["main"], witness_path=str(witness))
+    assert [r.prime for r in report.errors] == [2, 3]
+    assert witness.read_text().endswith(write_group_file(s4))
 
 
 def test_derived_groups_build_no_stabilizer_chain(monkeypatch):
