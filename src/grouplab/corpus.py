@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .errors import CycleFormatError
 from .groups import Group, group_from_generators
 from .perms import Permutation
-from .structure import _shared_sylows
+from .structure import _shared_sylows, is_prime
 
 
 @dataclass
@@ -196,8 +196,6 @@ def quaternion8() -> Group:
 
 def elementary_abelian(p: int, k: int) -> Group:
     """C_p^k as k disjoint p-cycles on p*k points."""
-    from .structure import is_prime
-
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:

@@ -17,9 +17,10 @@ DEFAULT_LATTICE_CAP = 400
 DEFAULT_TABLE_CAP = 2048
 """Largest group order whose normal closures, and for a p-group its
 Frattini subgroup, Burnside basis and maximal subgroups, are built on its
-multiplication table; above it ``normal_closure`` and the p-group frame
-work on generators and stabilizer chains and need neither the element
-list nor the table.  A threshold, not a cap: nothing raises on it."""
+multiplication table; above it, or above the group's enumeration cap,
+``normal_closure`` and the p-group frame work on generators and
+stabilizer chains and need neither the element list nor the table.  A
+threshold, not a cap: nothing raises on it."""
 
 DEFAULT_FAMILY_LIMIT = 100_000
 """Most maximal-subgroup families enumerated per p-group."""

@@ -7,9 +7,10 @@ list, and with it the multiplication table, exists only for groups whose
 order is at most the enumeration cap: the table is built on the element
 index, so every enumerable group gets its table, and above the cap both
 raise :class:`EnumerationCapError`.  Every operation that needs element
-data runs on the table.  Two constructions have a second path above
-``DEFAULT_TABLE_CAP``, on generators and stabilizer chains, which needs
-no element list: :func:`normal_closure`, and the p-group frame of
+data runs on the table.  Two constructions have a second path, on
+generators and stabilizer chains, which needs no element list, for groups
+above ``DEFAULT_TABLE_CAP`` or above their enumeration cap
+(:func:`_on_table`): :func:`normal_closure`, and the p-group frame of
 :mod:`grouplab.structure` (Phi(P), the Burnside basis and the maximal
 subgroups of P).
 
@@ -470,6 +471,21 @@ def indices_from_mask(mask: int, size: int) -> np.ndarray:
     return np.nonzero(bits[:size])[0].astype(np.int64)
 
 
+def _row_masks(block: np.ndarray) -> list[int]:
+    """The mask of each row of a bool block over G's index."""
+    packed = np.packbits(block, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _mask_rows(masks: list[int], n: int) -> np.ndarray:
+    """The bool block over G's index whose rows are these masks; the
+    inverse of ``_row_masks`` for a group of order n."""
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits.reshape(len(masks), 8 * width)[:, :n].astype(bool)
+
+
 def _closure_indices(
     table: np.ndarray, seed: np.ndarray, closed: np.ndarray | None = None
 ) -> np.ndarray:
@@ -586,18 +602,24 @@ def is_normal(G: Group, H: Group) -> bool:
     return True
 
 
+def _on_table(G: Group) -> bool:
+    """Whether the constructions with a generator path take G's table:
+    |G| is at most both ``DEFAULT_TABLE_CAP`` and G's enumeration cap."""
+    return G.order() <= min(DEFAULT_TABLE_CAP, G.enum_cap)
+
+
 def normal_closure(G: Group, H: Group) -> Group:
     """Smallest normal subgroup of G containing H.
 
-    Up to ``DEFAULT_TABLE_CAP`` it is closed on G's table
-    (:func:`_normal_closure_indices`); above it the conjugates of H's
+    On the table path (:func:`_on_table`) it is closed on G's table
+    (:func:`_normal_closure_indices`); otherwise the conjugates of H's
     generators are added on the stabilizer chain until stable, which needs
     neither G's element list nor its table (the derived series of S7 takes
     milliseconds this way).  The path fixes the generators of the result,
     and so the witness text of Phi(P).
     """
     _require_subgroup(G, H)
-    if G.order() <= DEFAULT_TABLE_CAP:
+    if _on_table(G):
         return G.subgroup_from_indices(_normal_closure_indices(G, H))
     gens = list(H.generators)
     K = Group(G.degree, gens, G.enum_cap)

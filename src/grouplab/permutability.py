@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DEFAULT_LATTICE_CAP, LatticeCapError
-from .groups import ElementSet, Group, _cached, mask_from_indices
-from .structure import _mask_rows, all_sylow_subgroups, lattice_masks, primes_of
+from .groups import ElementSet, Group, _cached, _mask_rows, mask_from_indices
+from .structure import all_sylow_subgroups, lattice_masks, primes_of
 
 _BLOCK = 1 << 18
 """Most cells one gather of the kernel touches, so memory stays bounded."""

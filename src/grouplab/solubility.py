@@ -22,7 +22,10 @@ import numpy as np
 
 from .groups import (
     Group,
+    _cached,
     _closure_indices,
+    _mask_rows,
+    _row_masks,
     indices_from_mask,
     is_normal,
     mask_from_indices,
@@ -30,9 +33,8 @@ from .groups import (
     subgroup_generated,
 )
 from .structure import (
-    _mask_rows,
     _normal_atom_masks,
-    _row_masks,
+    is_prime,
     o_p_prime,
     p_part,
     primes_of,
@@ -69,36 +71,36 @@ def chief_series(G: Group) -> ChiefSeries:
 
     G's cache keeps the masks and factor orders without G itself, so that
     it makes no reference cycle and a dropped G is freed at once."""
-    cached = G.cache.get("chief")
-    if cached is not None:
-        return ChiefSeries(G, *cached)
-    n = G.order()
-    tbl = G.table()
-    atoms = _mask_rows(_normal_atom_masks(G), n)
-    sizes = atoms.sum(axis=1)
-    cur_idx = np.zeros(1, dtype=np.int64)
-    masks = [1]
-    while len(cur_idx) < n:
-        meet = np.count_nonzero(atoms[:, cur_idx], axis=1)
-        orders = np.where(meet < sizes, len(cur_idx) * sizes // meet, n + 1)
-        least = orders.min()
-        built = []
-        rows = np.flatnonzero(orders == least)
-        step = max(1, (1 << 18) // max(n, len(cur_idx) * int(sizes[rows].max())))
-        for lo in range(0, len(rows), step):
-            part = atoms[rows[lo : lo + step]]
-            r, a_idx = np.nonzero(part)
-            block = np.zeros_like(part)
-            block[r, tbl[cur_idx[:, None], a_idx]] = True
-            if (block.sum(axis=1) != least).any():
-                raise AssertionError("|NA| != |N||A|/|N∩A| for normal N, A")
-            built += _row_masks(block)
-        cur = min(built)
-        cur_idx = indices_from_mask(cur, n)
-        masks.insert(0, cur)
-    factors = [a.bit_count() // b.bit_count() for a, b in zip(masks, masks[1:])]
-    G.cache["chief"] = (masks, factors)
-    return ChiefSeries(G, masks, factors)
+
+    def build():
+        n = G.order()
+        tbl = G.table()
+        atoms = _mask_rows(_normal_atom_masks(G), n)
+        sizes = atoms.sum(axis=1)
+        cur_idx = np.zeros(1, dtype=np.int64)
+        masks = [1]
+        while len(cur_idx) < n:
+            meet = np.count_nonzero(atoms[:, cur_idx], axis=1)
+            orders = np.where(meet < sizes, len(cur_idx) * sizes // meet, n + 1)
+            least = orders.min()
+            built = []
+            rows = np.flatnonzero(orders == least)
+            step = max(1, (1 << 18) // max(n, len(cur_idx) * int(sizes[rows].max())))
+            for lo in range(0, len(rows), step):
+                part = atoms[rows[lo : lo + step]]
+                r, a_idx = np.nonzero(part)
+                block = np.zeros_like(part)
+                block[r, tbl[cur_idx[:, None], a_idx]] = True
+                if (block.sum(axis=1) != least).any():
+                    raise AssertionError("|NA| != |N||A|/|N∩A| for normal N, A")
+                built += _row_masks(block)
+            cur = min(built)
+            cur_idx = indices_from_mask(cur, n)
+            masks.insert(0, cur)
+        factors = [a.bit_count() // b.bit_count() for a, b in zip(masks, masks[1:])]
+        return masks, factors
+
+    return ChiefSeries(G, *_cached(G, "chief", build))
 
 
 def derived_subgroup(G: Group) -> Group:
@@ -147,37 +149,30 @@ def derived_series_masks(G: Group, start: int | None = None) -> list[int]:
 
 def is_soluble(G: Group) -> bool:
     """The derived series reaches the trivial group."""
-    hit = G.cache.get("soluble")
-    if hit is None:
+
+    def build():
         cur = G
-        while True:
-            if cur.order() == 1:
-                hit = True
-                break
+        while cur.order() > 1:
             nxt = derived_subgroup(cur)
             if nxt.order() == cur.order():
-                hit = False
-                break
+                return False
             cur = nxt
-        G.cache["soluble"] = hit
-    return hit
+        return True
+
+    return _cached(G, "soluble", build)
 
 
 def is_nilpotent(G: Group) -> bool:
     """Every Sylow subgroup is normal."""
-    hit = G.cache.get("nilpotent")
-    if hit is None:
-        hit = all(
-            is_normal(G, sylow_subgroup(G, p)) for p in primes_of(G)
-        )
-        G.cache["nilpotent"] = hit
-    return hit
+
+    def build():
+        return all(is_normal(G, sylow_subgroup(G, p)) for p in primes_of(G))
+
+    return _cached(G, "nilpotent", build)
 
 
 def is_supersoluble(G: Group) -> bool:
     """Every chief factor has prime order."""
-    from .structure import is_prime
-
     return all(is_prime(f) for f in chief_series(G).factor_orders)
 
 

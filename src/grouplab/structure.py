@@ -11,15 +11,16 @@ Maximal subgroups of a p-group P are the preimages of the hyperplanes of
 the elementary abelian quotient P/Phi(P); the generator-number d satisfies
 p^d = |P/Phi(P)| and every d-subset of maximal subgroups intersecting in
 Phi(P) corresponds to a linearly independent set of d linear functionals.
-Up to ``DEFAULT_TABLE_CAP`` all of this runs on P's table: Phi(P) is a
-normal closure and the Burnside basis a chain of closures on P's element
-indices, every element gets its coordinates in F_p^d from the cosets
-b_1^a_1 ... b_d^a_d Phi(P) of the basis, and the maximal subgroups are
-the kernels {x : f . c(x) = 0 mod p} of the normalized functionals f, all
-from one product of the coordinates with the functionals.  Each kernel
-becomes a ``Group`` with P's rows, so no stabilizer chain is built for it.
-Above the threshold the frame and the maximal subgroups are built from
-generators.
+On the table path (``groups._on_table``: |P| at most both
+``DEFAULT_TABLE_CAP`` and P's enumeration cap) all of this runs on P's
+table: Phi(P) is a normal closure and the Burnside basis a chain of
+closures on P's element indices, every element gets its coordinates in
+F_p^d from the cosets b_1^a_1 ... b_d^a_d Phi(P) of the basis, and the
+maximal subgroups are the kernels {x : f . c(x) = 0 mod p} of the
+normalized functionals f, all from one product of the coordinates with
+the functionals.  Each kernel becomes a ``Group`` with P's rows, so no
+stabilizer chain is built for it.  Otherwise the frame and the maximal
+subgroups are built from generators.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import numpy as np
 from .errors import (
     DEFAULT_FAMILY_LIMIT,
     DEFAULT_LATTICE_CAP,
-    DEFAULT_TABLE_CAP,
     LatticeCapError,
     NotAPGroupError,
 )
@@ -46,7 +46,9 @@ from .groups import (
     _closure_indices,
     _normal_closure_indices,
     _normalizer_mask,
+    _on_table,
     _require_subgroup,
+    _row_masks,
     indices_from_mask,
     mask_from_indices,
     normal_closure,
@@ -192,43 +194,26 @@ def all_sylow_subgroups(G: Group, p: int) -> SylowSystem:
     if rep.order() == G.order() or rep.is_trivial:
         # 1 and G are the index prefixes of lengths 1 and |G|
         return SylowSystem(G, p, rep, [(1 << rep.order()) - 1])
-    key = ("sylows", p)
-    cached = G.cache.get(key)
-    if cached is not None:
-        return SylowSystem(G, p, rep, cached)
-    cvecs = [G.conjugation_vector(G.element_index(g)) for g in G.generators]
-    start = G.indices_of(rep)
-    seen_masks = {mask_from_indices(start, G.order()): start}
-    queue = [start]
-    while queue:
-        idx = queue.pop(0)
-        for cv in cvecs:
-            conj = np.sort(cv[idx])
-            m = mask_from_indices(conj, G.order())
-            if m not in seen_masks:
-                seen_masks[m] = conj
-                queue.append(conj)
-    masks = sorted(seen_masks)
-    G.cache[key] = masks
-    return SylowSystem(G, p, rep, masks)
+
+    def build():
+        cvecs = [G.conjugation_vector(G.element_index(g)) for g in G.generators]
+        start = G.indices_of(rep)
+        seen_masks = {mask_from_indices(start, G.order()): start}
+        queue = [start]
+        while queue:
+            idx = queue.pop(0)
+            for cv in cvecs:
+                conj = np.sort(cv[idx])
+                m = mask_from_indices(conj, G.order())
+                if m not in seen_masks:
+                    seen_masks[m] = conj
+                    queue.append(conj)
+        return sorted(seen_masks)
+
+    return SylowSystem(G, p, rep, _cached(G, ("sylows", p), build))
 
 
 # -- the subgroup lattice ------------------------------------------------------
-
-
-def _row_masks(block: np.ndarray) -> list[int]:
-    """The mask of each row of a bool block over G's index."""
-    packed = np.packbits(block, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _mask_rows(masks: list[int], n: int) -> np.ndarray:
-    """The bool block over G's index whose rows are these masks; the
-    inverse of ``_row_masks`` for a group of order n."""
-    width = (n + 7) // 8
-    raw = b"".join(m.to_bytes(width, "little") for m in masks)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits.reshape(len(masks), 8 * width)[:, :n].astype(bool)
 
 
 def _cyclic_masks(G: Group, idx: np.ndarray) -> list[int]:
@@ -304,64 +289,62 @@ def lattice_masks(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[int]
             cap=lattice_cap,
             size=n,
         )
-    cached = G.cache.get("lattice_masks")
-    if cached is not None:
-        return cached
-    from .solubility import derived_series_masks  # solubility imports structure
 
-    tbl = G.table()
-    ident = np.arange(n)
-    powers = {}
-    for p in prime_factors(n):
-        x = ident
-        for _ in range(p - 1):
-            x = tbl[x, ident]
-        powers[p] = x
-    residual = derived_series_masks(G)[-1]
-    subs = _closure_lattice(G, indices_from_mask(residual, n))
-    queue = list(subs)
-    label = np.zeros(n, dtype=np.int64)
-    while queue:
-        k = queue.pop()
-        nk = _normalizer_mask(G, k)
-        if nk == k or nk | residual == residual:
-            continue
-        k_idx = indices_from_mask(k, n)
-        n_idx = indices_from_mask(nk, n)
-        inside = np.zeros(n, dtype=bool)
-        inside[k_idx] = True
-        label[n_idx] = tbl[k_idx[:, None], n_idx].min(axis=0)
-        reps = np.unique(label[n_idx])[1:]  # K's own label, 0, comes first
-        for p, pth in powers.items():
-            g = reps[inside[pth[reps]]]
-            if not g.size:
+    def build():
+        from .solubility import derived_series_masks  # solubility imports structure
+
+        tbl = G.table()
+        ident = np.arange(n)
+        powers = {}
+        for p in prime_factors(n):
+            x = ident
+            for _ in range(p - 1):
+                x = tbl[x, ident]
+            powers[p] = x
+        residual = derived_series_masks(G)[-1]
+        subs = _closure_lattice(G, indices_from_mask(residual, n))
+        queue = list(subs)
+        label = np.zeros(n, dtype=np.int64)
+        while queue:
+            k = queue.pop()
+            nk = _normalizer_mask(G, k)
+            if nk == k or nk | residual == residual:
                 continue
-            steps = [g]  # g^i for 0 < i < p, one row per candidate g
-            for _ in range(p - 2):
-                steps.append(tbl[steps[-1], g])
-            steps = np.stack(steps, axis=1)
-            steps = steps[label[steps].min(axis=1) == g]
-            cosets = tbl[k_idx[None, None, :], steps[:, :, None]]
-            block = np.zeros((len(steps), n), dtype=bool)
-            block[:, k_idx] = True
-            block[np.arange(len(steps))[:, None], cosets.reshape(len(steps), -1)] = True
-            for j in _row_masks(block):
-                if j not in subs:
-                    subs.add(j)
-                    queue.append(j)
-    masks = sorted(subs, key=lambda m: (m.bit_count(), m))
-    G.cache["lattice_masks"] = masks
-    return masks
+            k_idx = indices_from_mask(k, n)
+            n_idx = indices_from_mask(nk, n)
+            inside = np.zeros(n, dtype=bool)
+            inside[k_idx] = True
+            label[n_idx] = tbl[k_idx[:, None], n_idx].min(axis=0)
+            reps = np.unique(label[n_idx])[1:]  # K's own label, 0, comes first
+            for p, pth in powers.items():
+                g = reps[inside[pth[reps]]]
+                if not g.size:
+                    continue
+                steps = [g]  # g^i for 0 < i < p, one row per candidate g
+                for _ in range(p - 2):
+                    steps.append(tbl[steps[-1], g])
+                steps = np.stack(steps, axis=1)
+                steps = steps[label[steps].min(axis=1) == g]
+                cosets = tbl[k_idx[None, None, :], steps[:, :, None]]
+                cosets = cosets.reshape(len(steps), -1)
+                block = np.zeros((len(steps), n), dtype=bool)
+                block[:, k_idx] = True
+                block[np.arange(len(steps))[:, None], cosets] = True
+                for j in _row_masks(block):
+                    if j not in subs:
+                        subs.add(j)
+                        queue.append(j)
+        return sorted(subs, key=lambda m: (m.bit_count(), m))
+
+    return _cached(G, "lattice_masks", build)
 
 
 def all_subgroups(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[Group]:
     """Every subgroup of G exactly once (lattice cap applies)."""
     masks = lattice_masks(G, lattice_cap)
-    cached = G.cache.get("lattice_groups")
-    if cached is None:
-        cached = [G.subgroup_from_mask(m) for m in masks]
-        G.cache["lattice_groups"] = cached
-    return cached
+    return _cached(
+        G, "lattice_groups", lambda: [G.subgroup_from_mask(m) for m in masks]
+    )
 
 
 # -- normal subgroups ----------------------------------------------------------
@@ -378,30 +361,29 @@ def _conjugacy_class_indices(G: Group) -> list[np.ndarray]:
     label, until nothing changes.  A stable sort by label then cuts the
     index range into the classes.
     """
-    cached = G.cache.get("classes")
-    if cached is not None:
-        return cached
-    n = G.order()
-    ident = np.arange(n)
-    steps = []
-    for g in G.generators:
-        cv = G.conjugation_vector(G.element_index(g))
-        cv_inv = np.empty_like(cv)
-        cv_inv[cv] = ident
-        steps += [cv, cv_inv]
-    lab = ident
-    while True:
-        nxt = lab
-        for step in steps:
-            nxt = np.minimum(nxt, lab[step])
-        nxt = nxt[nxt]
-        if np.array_equal(nxt, lab):
-            break
-        lab = nxt
-    order = np.argsort(lab, kind="stable")
-    classes = np.split(order, np.flatnonzero(np.diff(lab[order])) + 1)
-    G.cache["classes"] = classes
-    return classes
+
+    def build():
+        n = G.order()
+        ident = np.arange(n)
+        steps = []
+        for g in G.generators:
+            cv = G.conjugation_vector(G.element_index(g))
+            cv_inv = np.empty_like(cv)
+            cv_inv[cv] = ident
+            steps += [cv, cv_inv]
+        lab = ident
+        while True:
+            nxt = lab
+            for step in steps:
+                nxt = np.minimum(nxt, lab[step])
+            nxt = nxt[nxt]
+            if np.array_equal(nxt, lab):
+                break
+            lab = nxt
+        order = np.argsort(lab, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(lab[order])) + 1)
+
+    return _cached(G, "classes", build)
 
 
 def _normal_atom_masks(G: Group) -> list[int]:
@@ -417,33 +399,32 @@ def _normal_atom_masks(G: Group) -> list[int]:
     side reaches every product.  Each round scatters those products into a
     bool vector over G's index, so no product list is sorted.
     """
-    cached = G.cache.get("normal_atoms")
-    if cached is not None:
-        return cached
-    tbl = G.table()
-    n = G.order()
-    classes = _conjugacy_class_indices(G)[1:]  # the first is {identity}
-    reps = np.array([cls[0] for cls in classes], dtype=np.int64)
-    atom_of: dict[int, int] = {}
-    for cls, cyc in zip(classes, _cyclic_masks(G, reps)):
-        if cyc in atom_of:
-            continue
-        if len(cls) == 1:
-            atom_of[cyc] = cyc
-            continue
-        member = np.zeros(n, dtype=bool)
-        member[0] = True
-        member[cls] = True
-        frontier = cls
-        while frontier.size:
-            hit = np.zeros(n, dtype=bool)
-            hit[tbl[frontier[:, None], np.flatnonzero(member)]] = True
-            frontier = np.flatnonzero(hit & ~member)
-            member |= hit
-        atom_of[cyc] = mask_from_indices(np.nonzero(member)[0], n)
-    atoms = sorted(set(atom_of.values()), key=lambda m: (m.bit_count(), m))
-    G.cache["normal_atoms"] = atoms
-    return atoms
+
+    def build():
+        tbl = G.table()
+        n = G.order()
+        classes = _conjugacy_class_indices(G)[1:]  # the first is {identity}
+        reps = np.array([cls[0] for cls in classes], dtype=np.int64)
+        atom_of: dict[int, int] = {}
+        for cls, cyc in zip(classes, _cyclic_masks(G, reps)):
+            if cyc in atom_of:
+                continue
+            if len(cls) == 1:
+                atom_of[cyc] = cyc
+                continue
+            member = np.zeros(n, dtype=bool)
+            member[0] = True
+            member[cls] = True
+            frontier = cls
+            while frontier.size:
+                hit = np.zeros(n, dtype=bool)
+                hit[tbl[frontier[:, None], np.flatnonzero(member)]] = True
+                frontier = np.flatnonzero(hit & ~member)
+                member |= hit
+            atom_of[cyc] = mask_from_indices(np.nonzero(member)[0], n)
+        return sorted(set(atom_of.values()), key=lambda m: (m.bit_count(), m))
+
+    return _cached(G, "normal_atoms", build)
 
 
 def normal_subgroup_masks(G: Group) -> list[int]:
@@ -452,38 +433,34 @@ def normal_subgroup_masks(G: Group) -> list[int]:
 
     A join of normal N and A is the product set NA, built one-sided; it
     must have exactly |N||A|/|N∩A| members."""
-    cached = G.cache.get("normal_masks")
-    if cached is not None:
-        return cached
-    tbl = G.table()
-    n = G.order()
-    result = {1}
-    idx_of = {1: np.array([0], dtype=np.int64)}
-    for a in _normal_atom_masks(G):
-        a_idx = indices_from_mask(a, n)
-        additions = {}
-        for r in result:
-            if r | a == r:
-                continue
-            j_idx = np.unique(tbl[idx_of[r][:, None], a_idx])
-            if len(j_idx) != r.bit_count() * len(a_idx) // (r & a).bit_count():
-                raise AssertionError("|NA| != |N||A|/|N∩A| for normal N, A")
-            additions[mask_from_indices(j_idx, n)] = j_idx
-        for m, j_idx in additions.items():
-            if m not in result:
-                result.add(m)
-                idx_of[m] = j_idx
-    masks = sorted(result, key=lambda m: (m.bit_count(), m))
-    G.cache["normal_masks"] = masks
-    return masks
+
+    def build():
+        tbl = G.table()
+        n = G.order()
+        result = {1}
+        idx_of = {1: np.array([0], dtype=np.int64)}
+        for a in _normal_atom_masks(G):
+            a_idx = indices_from_mask(a, n)
+            additions = {}
+            for r in result:
+                if r | a == r:
+                    continue
+                j_idx = np.unique(tbl[idx_of[r][:, None], a_idx])
+                if len(j_idx) != r.bit_count() * len(a_idx) // (r & a).bit_count():
+                    raise AssertionError("|NA| != |N||A|/|N∩A| for normal N, A")
+                additions[mask_from_indices(j_idx, n)] = j_idx
+            for m, j_idx in additions.items():
+                if m not in result:
+                    result.add(m)
+                    idx_of[m] = j_idx
+        return sorted(result, key=lambda m: (m.bit_count(), m))
+
+    return _cached(G, "normal_masks", build)
 
 
 def normal_subgroups(G: Group) -> list[Group]:
-    cached = G.cache.get("normal_groups")
-    if cached is None:
-        cached = [G.subgroup_from_mask(m) for m in normal_subgroup_masks(G)]
-        G.cache["normal_groups"] = cached
-    return cached
+    masks = normal_subgroup_masks(G)
+    return _cached(G, "normal_groups", lambda: [G.subgroup_from_mask(m) for m in masks])
 
 
 def minimal_normal_subgroups(G: Group) -> list[Group]:
@@ -525,56 +502,55 @@ def _p_group_frame(P: Group) -> tuple[int, Group, tuple[Permutation, ...], int]:
 
     Phi(P) is the normal closure of the generators' p-th powers and pairwise
     commutators; the basis is the run of generators outside the span of
-    Phi(P) and the generators taken before them.  Up to
-    ``DEFAULT_TABLE_CAP`` both are closed on P's table, and Phi(P) takes
-    P's rows; above it each is a ``Group`` on generators, like
+    Phi(P) and the generators taken before them.  On the table path
+    (``_on_table``) both are closed on P's table, and Phi(P) takes P's
+    rows; otherwise each is a ``Group`` on generators, like
     :func:`normal_closure`.  Either way Phi(P) gets the generators that
     ``normal_closure`` gives it, which fix the witness text.
     """
-    cached = P.cache.get("pframe")
-    if cached is not None:
-        return cached
-    p = p_group_prime(P)
-    basis: list[Permutation] = []
-    if P.order() <= DEFAULT_TABLE_CAP:
-        tbl, inv = P.table(), P.inverse_indices()
-        gens = np.array([P.element_index(g) for g in P.generators], dtype=np.int64)
-        powers = gens
-        for _ in range(p - 1):
-            powers = tbl[powers, gens]
-        first, second = np.triu_indices(len(gens), 1)
-        a, b = gens[first], gens[second]
-        commutators = tbl[tbl[inv[a], inv[b]], tbl[a, b]]
-        seed = mask_from_indices(np.concatenate([powers, commutators]), P.order())
-        span = _normal_closure_indices(P, seed)
-        phi = P.subgroup_from_indices(span)
-        for g, i in zip(P.generators, gens):
-            if not (span == i).any():
-                basis.append(g)
-                span = _closure_indices(tbl, np.append(span, i), closed=span)
-    else:
-        cands = [g**p for g in P.generators]
-        for i, a in enumerate(P.generators):
-            for b in P.generators[i + 1 :]:
-                cands.append(a.inverse() * b.inverse() * a * b)
-        phi = normal_closure(P, subgroup_generated(P, cands))
-        span_group = Group(P.degree, phi.generators, P.enum_cap)
-        for g in P.generators:
-            if not span_group.contains(g):
-                basis.append(g)
-                span_group = Group(
-                    P.degree, phi.generators + tuple(basis), P.enum_cap
-                )
-    d = 0
-    q = P.order() // phi.order()
-    while q > 1:
-        q //= p
-        d += 1
-    if p**d * phi.order() != P.order() or len(basis) != d:
-        raise AssertionError("Burnside basis extraction failed")
-    frame = (p, phi, tuple(basis), d)
-    P.cache["pframe"] = frame
-    return frame
+
+    def build():
+        p = p_group_prime(P)
+        basis: list[Permutation] = []
+        if _on_table(P):
+            tbl, inv = P.table(), P.inverse_indices()
+            gens = np.array([P.element_index(g) for g in P.generators], dtype=np.int64)
+            powers = gens
+            for _ in range(p - 1):
+                powers = tbl[powers, gens]
+            first, second = np.triu_indices(len(gens), 1)
+            a, b = gens[first], gens[second]
+            commutators = tbl[tbl[inv[a], inv[b]], tbl[a, b]]
+            seed = mask_from_indices(np.concatenate([powers, commutators]), P.order())
+            span = _normal_closure_indices(P, seed)
+            phi = P.subgroup_from_indices(span)
+            for g, i in zip(P.generators, gens):
+                if not (span == i).any():
+                    basis.append(g)
+                    span = _closure_indices(tbl, np.append(span, i), closed=span)
+        else:
+            cands = [g**p for g in P.generators]
+            for i, a in enumerate(P.generators):
+                for b in P.generators[i + 1 :]:
+                    cands.append(a.inverse() * b.inverse() * a * b)
+            phi = normal_closure(P, subgroup_generated(P, cands))
+            span_group = Group(P.degree, phi.generators, P.enum_cap)
+            for g in P.generators:
+                if not span_group.contains(g):
+                    basis.append(g)
+                    span_group = Group(
+                        P.degree, phi.generators + tuple(basis), P.enum_cap
+                    )
+        d = 0
+        q = P.order() // phi.order()
+        while q > 1:
+            q //= p
+            d += 1
+        if p**d * phi.order() != P.order() or len(basis) != d:
+            raise AssertionError("Burnside basis extraction failed")
+        return p, phi, tuple(basis), d
+
+    return _cached(P, "pframe", build)
 
 
 def smallest_generator_number(P: Group) -> int:
@@ -620,74 +596,72 @@ def _maximal_data(P: Group) -> tuple[list[tuple[int, ...]], list[Group]]:
     """(functionals, maximal subgroups) of a p-group, in matching order.
 
     The maximal subgroup of the normalized functional f is generated by
-    Phi(P) and the lifts b_j b_lead^k of a basis of f's kernel.  Up to
-    ``DEFAULT_TABLE_CAP`` it also gets its rows: it is the kernel
+    Phi(P) and the lifts b_j b_lead^k of a basis of f's kernel.  On the
+    table path (``_on_table``) it also gets its rows: it is the kernel
     {x : f . c(x) = 0 mod p} of P's coordinates c in P/Phi(P), and one
     product of the coordinates with all the functionals gives every
     kernel at once; P's cache keeps the kernels as a bool block
-    (``"pkernels"``).  Above the cap the groups build their own elements.
+    (``"pkernels"``).  Otherwise the groups build their own elements.
     For cyclic P (d = 1) the one maximal subgroup is Phi(P) itself.
     """
-    cached = P.cache.get("pmaximals")
-    if cached is not None:
-        return cached
-    if P.is_trivial:
-        P.cache["pmaximals"] = ([], [])
-        return P.cache["pmaximals"]
-    p, phi, basis, d = _p_group_frame(P)
-    if d == 1:
-        P.cache["pmaximals"] = ([(1,)], [phi])
-        return P.cache["pmaximals"]
-    pair_cache: dict[tuple[int, int, int], Permutation] = {}
 
-    def lift(j: int, lead: int, k: int) -> Permutation:
-        # preimage of e_j - phi_j * e_lead, i.e. b_j * b_lead^k with k = -phi_j mod p
-        if k == 0:
-            return basis[j]
-        key = (j, lead, k)
-        if key not in pair_cache:
-            pair_cache[key] = basis[j] * basis[lead] ** k
-        return pair_cache[key]
+    def build():
+        if P.is_trivial:
+            return [], []
+        p, phi, basis, d = _p_group_frame(P)
+        if d == 1:
+            return [(1,)], [phi]
+        pair_cache: dict[tuple[int, int, int], Permutation] = {}
 
-    functionals = _normalized_functionals(p, d)
-    lifts = []
-    for vec in functionals:
-        lead = next(i for i, c in enumerate(vec) if c)
-        lifts.append(
-            [lift(j, lead, (p - vec[j]) % p) for j in range(d) if j != lead]
-        )
-    phigens = list(phi.generators)
-    if P.order() > DEFAULT_TABLE_CAP:
-        maximals = [Group(P.degree, phigens + ls, P.enum_cap) for ls in lifts]
-    else:
-        phi_idx = P.indices_of(phi)
-        coords = _frattini_coordinates(P, p, phi_idx, basis)
-        kernels = ((coords @ np.array(functionals).T) % p == 0).T
-        lift_idx = {g: P.element_index(g) for g in set().union(*lifts)}
-        lift_cols = np.array(
-            [[lift_idx[g] for g in ls] for ls in lifts], dtype=np.int64
-        )
-        if (
-            (kernels.sum(axis=1) != P.order() // p).any()
-            or not kernels[:, phi_idx].all()
-            or not np.take_along_axis(kernels, lift_cols, axis=1).all()
-        ):
-            raise AssertionError("hyperplane kernel is not its maximal subgroup")
-        emat = P._matrix()
-        maximals = [
-            Group(P.degree, phigens + ls, P.enum_cap, _known_emat=emat[inside])
-            for ls, inside in zip(lifts, kernels)
-        ]
-        P.cache["pkernels"] = kernels
-    P.cache["pmaximals"] = (functionals, maximals)
-    return P.cache["pmaximals"]
+        def lift(j: int, lead: int, k: int) -> Permutation:
+            # preimage of e_j - phi_j * e_lead: b_j * b_lead^k with k = -phi_j mod p
+            if k == 0:
+                return basis[j]
+            key = (j, lead, k)
+            if key not in pair_cache:
+                pair_cache[key] = basis[j] * basis[lead] ** k
+            return pair_cache[key]
+
+        functionals = _normalized_functionals(p, d)
+        lifts = []
+        for vec in functionals:
+            lead = next(i for i, c in enumerate(vec) if c)
+            lifts.append(
+                [lift(j, lead, (p - vec[j]) % p) for j in range(d) if j != lead]
+            )
+        phigens = list(phi.generators)
+        if not _on_table(P):
+            maximals = [Group(P.degree, phigens + ls, P.enum_cap) for ls in lifts]
+        else:
+            phi_idx = P.indices_of(phi)
+            coords = _frattini_coordinates(P, p, phi_idx, basis)
+            kernels = ((coords @ np.array(functionals).T) % p == 0).T
+            lift_idx = {g: P.element_index(g) for g in set().union(*lifts)}
+            lift_cols = np.array(
+                [[lift_idx[g] for g in ls] for ls in lifts], dtype=np.int64
+            )
+            if (
+                (kernels.sum(axis=1) != P.order() // p).any()
+                or not kernels[:, phi_idx].all()
+                or not np.take_along_axis(kernels, lift_cols, axis=1).all()
+            ):
+                raise AssertionError("hyperplane kernel is not its maximal subgroup")
+            emat = P._matrix()
+            maximals = [
+                Group(P.degree, phigens + ls, P.enum_cap, _known_emat=emat[inside])
+                for ls, inside in zip(lifts, kernels)
+            ]
+            P.cache["pkernels"] = kernels
+        return functionals, maximals
+
+    return _cached(P, "pmaximals", build)
 
 
 def _maximal_masks(G: Group, P: Group) -> list[int]:
     """Masks over G's index of the maximal subgroups of the p-subgroup P,
     in the order of ``_maximal_data``: P's index set in G restricted to
     each kernel row over P's index.  Where ``_maximal_data`` kept no
-    kernels (d = 1, or P above ``DEFAULT_TABLE_CAP``) the rows come from
+    kernels (d = 1, or P off the table path) the rows come from
     looking the maximal subgroups up in P's index."""
     maximals = _maximal_data(P)[1]
 
@@ -839,9 +813,16 @@ def is_complemented(
     distinct elements, so NK = G holds automatically.
     """
     _require_subgroup(G, N)
-    target = G.order() // N.order()
-    nmask = G.mask_of(N)
-    for m in lattice_masks(G, lattice_cap):
-        if m.bit_count() == target and m & nmask == 1:
-            return True, G.subgroup_from_mask(m)
-    return False, None
+    full = (1 << G.order()) - 1
+    km = _complement_mask(G, full, G.mask_of(N), lattice_cap)
+    return (False, None) if km is None else (True, G.subgroup_from_mask(km))
+
+
+def _complement_mask(G: Group, mm: int, nm: int, lattice_cap: int) -> int | None:
+    """Mask of the first member of G's lattice that complements N in M, for
+    N <= M given by masks: of order |M|/|N|, inside M, meeting N trivially."""
+    target = mm.bit_count() // nm.bit_count()
+    for km in lattice_masks(G, lattice_cap):
+        if km.bit_count() == target and km | mm == mm and km & nm == 1:
+            return km
+    return None

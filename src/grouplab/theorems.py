@@ -39,6 +39,7 @@ from .errors import DEFAULT_LATTICE_CAP, LatticeCapError
 from .groups import (
     Group,
     _cached,
+    _mask_rows,
     _normal_closure_indices,
     _normalizer_mask,
     indices_from_mask,
@@ -58,6 +59,7 @@ from .permutability import (
     product_set,
 )
 from .solubility import (
+    chief_series,
     derived_series_masks,
     is_p_nilpotent,
     is_p_soluble,
@@ -65,7 +67,7 @@ from .solubility import (
     is_supersoluble,
 )
 from .structure import (
-    _mask_rows,
+    _complement_mask,
     _maximal_data,
     _maximal_masks,
     _o_p_mask,
@@ -224,8 +226,6 @@ def main_conclusion(G: Group, p: int) -> tuple[bool, dict]:
     ok = is_p_supersoluble(G, p)
     wit = {"branch": "p-supersoluble", "p_supersoluble": ok}
     if not ok:
-        from .solubility import chief_series
-
         wit["chief_factors"] = chief_series(G).factor_orders
     return ok, wit
 
@@ -646,20 +646,6 @@ def verify_lemma_2_3(
     return [_part_record("lemma-2.3", group_name, None, inst, sampled, t0)]
 
 
-def _complemented_within(
-    G: Group, m_mask: int, n_mask: int, lattice_cap: int
-) -> bool:
-    target = m_mask.bit_count() // n_mask.bit_count()
-    for km in lattice_masks(G, lattice_cap):
-        if (
-            km.bit_count() == target
-            and km | m_mask == m_mask
-            and km & n_mask == 1
-        ):
-            return True
-    return False
-
-
 def verify_lemma_2_4(
     G: Group, group_name: str = "?", lattice_cap: int = DEFAULT_LATTICE_CAP
 ) -> list[VerificationRecord]:
@@ -685,9 +671,9 @@ def verify_lemma_2_4(
                 continue
             if gcd(nm.bit_count(), n // mm.bit_count()) != 1:
                 continue
-            if not _complemented_within(G, mm, nm, lattice_cap):
+            if _complement_mask(G, mm, nm, lattice_cap) is None:
                 continue
-            holds = _complemented_within(G, full, nm, lattice_cap)
+            holds = _complement_mask(G, full, nm, lattice_cap) is not None
             inst.append((holds, _detail(G, {"normal": nm, "intermediate": mm})))
     return [_part_record("lemma-2.4", group_name, None, inst, sampled, t0)]
 

@@ -17,7 +17,7 @@ from grouplab.corpus import (
     named_group,
     symmetric,
 )
-from grouplab.groups import Group, indices_from_mask, mask_from_indices
+from grouplab.groups import Group, _mask_rows, indices_from_mask, mask_from_indices
 from grouplab.permutability import (
     is_s_permutable,
     is_s_semipermutable,
@@ -25,7 +25,6 @@ from grouplab.permutability import (
     product_set,
 )
 from grouplab.structure import (
-    _mask_rows,
     all_sylow_subgroups,
     lattice_masks,
     normal_subgroup_masks,

@@ -2,7 +2,8 @@
 multiplication table and every check runs on it; above the cap the table
 raises and the runner records a skip.  Only ``normal_closure`` and the
 p-group frame (Phi(P), the Burnside basis and the maximal subgroups of P)
-keep a second path, on generators, above ``DEFAULT_TABLE_CAP``."""
+keep a second path, on generators, above ``DEFAULT_TABLE_CAP`` or above
+the group's own enumeration cap."""
 
 import hashlib
 
@@ -12,13 +13,25 @@ import pytest
 from test_report_digest import DIGESTS
 
 from grouplab import groups, structure
-from grouplab.corpus import NamedGroup, builtin_corpus, named_group, symmetric
+from grouplab.corpus import (
+    NamedGroup,
+    builtin_corpus,
+    elementary_abelian,
+    named_group,
+    symmetric,
+)
 from grouplab.errors import EnumerationCapError
-from grouplab.groups import Group
+from grouplab.groups import Group, normal_closure
 from grouplab.perms import Permutation
 from grouplab.runner import run_corpus
 from grouplab.solubility import is_soluble
-from grouplab.structure import maximal_subgroups_of_p_group, primes_of, sylow_subgroup
+from grouplab.structure import (
+    frattini_p_group,
+    maximal_subgroups_of_p_group,
+    primes_of,
+    smallest_generator_number,
+    sylow_subgroup,
+)
 from grouplab.theorems import HypothesisMode, verify_main
 
 MID_SIZE = ("C18xS5", "C27xC3^4", "D18xS5")
@@ -40,6 +53,18 @@ def test_soluble_check_of_s7_builds_no_element_data():
     G = symmetric(7)
     assert not is_soluble(G)
     assert G._table is None and G._elements is None
+
+
+def test_generator_path_serves_a_group_above_its_enumeration_cap():
+    """C2^6 with an enumeration cap of 32: its frame, maximal subgroups and
+    normal closures take the generator path and list no elements."""
+    E = elementary_abelian(2, 6)
+    G = Group(E.degree, E.generators, enum_cap=32)
+    assert smallest_generator_number(G) == 6
+    assert frattini_p_group(G).order() == 1
+    assert len(maximal_subgroups_of_p_group(G)) == 63
+    assert normal_closure(G, G).order() == 64
+    assert G._emat is None
 
 
 def test_mid_size_main_report_digest():
@@ -80,10 +105,10 @@ def test_main_check_builds_one_stabilizer_chain(monkeypatch, name):
 
 
 def test_generator_frame_keeps_the_main_report(monkeypatch):
-    """With the frame's table threshold forced to 0, every p-group's frame
-    and maximal subgroups are built on generators, and the main report
-    over corpus 60 is unchanged."""
-    monkeypatch.setattr(structure, "DEFAULT_TABLE_CAP", 0)
+    """With the frame's table path switched off, every p-group's frame and
+    maximal subgroups are built on generators, and the main report over
+    corpus 60 is unchanged."""
+    monkeypatch.setattr(structure, "_on_table", lambda G: False)
     P = sylow_subgroup(symmetric(4), 2)
     assert all(M._emat is None for M in maximal_subgroups_of_p_group(P))
     text = run_corpus(builtin_corpus(60), ["main"]).render()
