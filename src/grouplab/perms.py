@@ -47,6 +47,10 @@ class Permutation:
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
+    def __reduce__(self):
+        # unpickling goes through __init__, so the images are validated again
+        return (Permutation, (self.images,))
+
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
         # products and inverses of valid permutations need no re-validation

@@ -3,8 +3,8 @@
 Each group is one chain: its tasks, one per (check, prime), run in a fixed
 order through :func:`_run_chain`, which stops at the first violation and
 then empties the group's cache.  The chains run in name order, in this
-process or in worker processes, which rebuild each group from its
-generator images; a chain touches only its own group, so the records come
+process or in worker processes, which receive the groups themselves
+(pickled); a chain touches only its own group, so the records come
 out the same either way and are then canonically sorted.  Reports carry
 no timing data, which is what makes them byte-identical regardless of the
 parallelism level.
@@ -25,7 +25,6 @@ from functools import partial
 from .corpus import NamedGroup, write_group_file
 from .errors import CapExceededError, DEFAULT_LATTICE_CAP, GroupError
 from .groups import Group
-from .perms import Permutation
 from .structure import primes_of
 from .theorems import (
     HypothesisMode,
@@ -263,13 +262,6 @@ def _run_chain(
     return out
 
 
-def _run_chain_spec(spec, **chain) -> list[VerificationRecord]:
-    """A worker's chain: the group is rebuilt from its generator images."""
-    name, degree, gen_images, enum_cap = spec
-    G = Group(degree, [Permutation(im) for im in gen_images], enum_cap)
-    return _run_chain(NamedGroup(name, G), **chain)
-
-
 def run_corpus(
     corpus: list[NamedGroup],
     checks=("main",),
@@ -291,7 +283,7 @@ def run_corpus(
     """
     mode = HypothesisMode(mode)
     check_ids = expand_checks(checks)
-    chain = dict(check_ids=check_ids, mode=mode, lattice_cap=lattice_cap)
+    run = partial(_run_chain, check_ids=check_ids, mode=mode, lattice_cap=lattice_cap)
     ordered = sorted(corpus, key=lambda ng: ng.name)
     pool = None
     if parallelism > 1:
@@ -301,14 +293,7 @@ def run_corpus(
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=parallelism)
-        specs = [
-            (ng.name, g.degree, tuple(x.images for x in g.generators), g.enum_cap)
-            for ng in ordered
-            for g in [ng.group]
-        ]
-        batches = pool.map(partial(_run_chain_spec, **chain), specs, chunksize=8)
-    else:
-        batches = map(partial(_run_chain, **chain), ordered)
+    batches = map(run, ordered) if pool is None else pool.map(run, ordered, chunksize=8)
     records: list[VerificationRecord] = []
     owner: dict[int, NamedGroup] = {}
     try:

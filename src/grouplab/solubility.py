@@ -33,9 +33,9 @@ from .groups import (
     subgroup_generated,
 )
 from .structure import (
+    _element_orders,
     _normal_atom_masks,
     is_prime,
-    o_p_prime,
     p_part,
     primes_of,
     sylow_subgroup,
@@ -194,4 +194,17 @@ def is_p_supersoluble(G: Group, p: int) -> bool:
 
 def is_p_nilpotent(G: Group, p: int) -> bool:
     """A normal Hall p'-subgroup exists."""
-    return o_p_prime(G, p).order() == G.order() // p_part(G.order(), p)
+    return _p_nilpotent_mask(G, (1 << G.order()) - 1, p)
+
+
+def _p_nilpotent_mask(G: Group, mask: int, p: int) -> bool:
+    """Whether the subgroup H of G with mask ``mask`` is p-nilpotent: its
+    p'-elements, by G's element orders, number |H|_{p'} and are closed on
+    G's table, so they form a characteristic, hence normal, p-complement.
+    A normal p-complement K holds every p'-element, as H/K is a p-group."""
+    h = mask.bit_count()
+    idx = indices_from_mask(mask, G.order())
+    pprime = idx[_element_orders(G)[idx] % p != 0]
+    if len(pprime) != h // p_part(h, p):
+        return False
+    return len(_closure_indices(G.table(), pprime)) == len(pprime)

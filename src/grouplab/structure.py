@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations, product
 from typing import Iterator
 
@@ -94,7 +94,8 @@ def primes_of(G: Group) -> list[int]:
 @dataclass
 class SylowSystem:
     """One conjugacy class of Sylow p-subgroups, as masks over the
-    parent's index."""
+    parent's index; a caller that needs one of them as a group builds it
+    with ``parent.subgroup_from_mask``."""
 
     parent: Group
     prime: int
@@ -104,13 +105,6 @@ class SylowSystem:
     @property
     def count(self) -> int:
         return len(self.masks)
-
-    @cached_property
-    def all(self) -> list[Group]:
-        """Built from ``masks`` on first read; 1 and G are the representative."""
-        if self.representative.order() in (1, self.parent.order()):
-            return [self.representative]
-        return [self.parent.subgroup_from_mask(m) for m in self.masks]
 
 
 def _element_orders(G: Group) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import numpy as np
@@ -313,3 +314,17 @@ def test_group_equality_canonical(s4):
     B = subgroup_generated(s4, [P(4, "(1 3)(2 4)"), P(4, "(1 4)(2 3)")])
     assert A == B
     assert not (A == subgroup_generated(s4, [P(4, "(1 2)")]))
+
+
+def test_pickle_round_trip():
+    """A permutation and a group with its table built survive pickling, as
+    the worker processes of ``run_corpus`` receive them."""
+    g = P(5, "(1 2 3)(4 5)")
+    h = pickle.loads(pickle.dumps(g))
+    assert h == g and hash(h) == hash(g) and h.images == g.images
+    G = symmetric(4)
+    G.table()
+    H = pickle.loads(pickle.dumps(G))
+    assert H.generators == G.generators
+    assert H.elements() == G.elements()
+    assert np.array_equal(H.table(), G.table())

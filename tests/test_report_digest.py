@@ -18,6 +18,8 @@ DIGESTS = {
     (60, "corollaries"): "68418b8d6542ccc6e7c5f0dfea62e6117f2317bd6713c6fac4fb4cd1360fae2a",
     (60, "srinivasan"): "96c672626b919946156d327cf8f8eeccfe201128a779c7cbc664eda153da9efc",
     (120, "main"): "aadcf6a5bbd99f0ff2041933f50fb99f2f3b1f6da0e86f2a5848f9b5c02d2760",
+    (120, "corollaries"): "5ec8b144d453673e6dc0e744600877a586fe8633252805afd2107b43bd45edce",
+    (120, "srinivasan"): "9e04f85a9406b9781f3e3b1a20a5585d6b07cd0d3b8e1d4d782954d0f496d8cf",
 }
 
 

@@ -6,8 +6,10 @@ from grouplab.corpus import (
     quaternion8,
     symmetric,
 )
+from grouplab.groups import _normalizer_mask, normalizer
 from grouplab.perms import Permutation
 from grouplab.solubility import (
+    _p_nilpotent_mask,
     chief_series,
     derived_subgroup,
     is_nilpotent,
@@ -17,7 +19,7 @@ from grouplab.solubility import (
     is_soluble,
     is_supersoluble,
 )
-from grouplab.structure import primes_of
+from grouplab.structure import o_p_prime, p_part, primes_of, sylow_subgroup
 
 
 def test_chief_series_s4(s4):
@@ -143,3 +145,23 @@ def test_predicates_match_naive_oracle():
         assert is_supersoluble(G) == naive.is_supersoluble(G.degree, E)
         for p in primes_of(G):
             assert is_p_nilpotent(G, p) == naive.is_p_nilpotent(G.degree, E, p)
+            # and on N_G(P), given to the library as a mask over G
+            P = sylow_subgroup(G, p)
+            NP = naive.normalizer_set(E, frozenset(P.elements()))
+            nm = _normalizer_mask(G, G.mask_of(P))
+            assert _p_nilpotent_mask(G, nm, p) == naive.is_p_nilpotent(G.degree, NP, p)
+
+
+def test_p_nilpotent_mask_against_o_p_prime():
+    """p-nilpotency read from element orders agrees with the normal Hall
+    p'-subgroup test through ``o_p_prime``, for G and for N_G(P)."""
+    pairs = 0
+    for ng in builtin_corpus(120):
+        G = ng.group
+        for p in primes_of(G):
+            NP = normalizer(G, sylow_subgroup(G, p))
+            for H in (G, NP):
+                want = o_p_prime(H, p).order() == H.order() // p_part(H.order(), p)
+                assert _p_nilpotent_mask(G, G.mask_of(H), p) == want
+            pairs += 1
+    assert pairs == 1363

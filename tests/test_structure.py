@@ -97,7 +97,7 @@ def test_element_orders_match_permutation_orders(sylow_corpus):
         assert _element_orders(G).tolist() == [x.order() for x in G.elements()]
 
 
-def test_sylow_system_builds_groups_only_when_all_is_read(monkeypatch, s4, a5):
+def test_sylow_system_count_builds_no_group(monkeypatch, s4, a5):
     for G in (s4, a5, direct_product(symmetric(3), cyclic(4))):
         for p in naive.prime_factors(G.order()):
             system = all_sylow_subgroups(G, p)
@@ -108,7 +108,6 @@ def test_sylow_system_builds_groups_only_when_all_is_read(monkeypatch, s4, a5):
             with monkeypatch.context() as m:
                 m.setattr(groups.Group, "__init__", refuse)
                 assert system.count == len(system.masks)
-            assert [G.mask_of(P) for P in system.all] == system.masks
 
 
 def test_sylow_congruences_over_corpus():

@@ -368,3 +368,42 @@ def test_derived_groups_build_no_stabilizer_chain(monkeypatch):
     sylows = [P for G, P in made if isinstance(P, Group) and P is not G]
     assert quotients and sylows
     assert all(H._levels is None for H in quotients + sylows)
+
+
+def test_warm_corollaries_build_no_group(monkeypatch):
+    """Repeated on a warm group whose family hypothesis holds at every
+    prime, corollaries 4.1 and 4.3 decide p-nilpotency, of G and of
+    N_G(P), on masks over G: they build no Group."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Group was built")
+
+    def run(G):
+        records = verify_corollary_4_1(G)
+        records += [verify_corollary_4_3(G, p) for p in primes_of(G)]
+        return [(r.hypothesis, r.conclusion, r.witnesses) for r in records]
+
+    for name in ("S3", "D8xC3"):
+        G = named_group(name).group
+        assert all(main_hypothesis(G, p)[0] for p in primes_of(G))
+        warm = run(G)
+        with monkeypatch.context() as m:
+            m.setattr(Group, "__init__", refuse)
+            assert run(G) == warm
+
+
+def test_srinivasan_reads_one_sylow_subgroup_per_prime(monkeypatch):
+    """S3 has three Sylow 2-subgroups and one Sylow 3-subgroup; the
+    hypothesis is decided on the first of each, and ``checked`` still
+    counts the maximal subgroups of all four."""
+    calls = []
+    maximal_data = theorems._maximal_data
+
+    def counted(P):
+        calls.append(P.order())
+        return maximal_data(P)
+
+    monkeypatch.setattr(theorems, "_maximal_data", counted)
+    r = verify_srinivasan(named_group("S3").group, "S3")
+    assert sorted(calls) == [2, 3]
+    assert r.hypothesis and r.witnesses["checked"] == 4
