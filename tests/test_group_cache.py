@@ -15,6 +15,7 @@ from grouplab import (
     Permutation,
     builtin_corpus,
     group_from_generators,
+    named_group,
     parse_group_file,
     verify_corollary_4_3,
     verify_main,
@@ -27,7 +28,7 @@ from grouplab.corpus import (
     clear_group_cache,
     group_cache_info,
 )
-from grouplab import structure
+from grouplab import structure, theorems
 from grouplab.structure import p_part, primes_of, sylow_subgroup
 
 
@@ -165,6 +166,77 @@ def test_repeated_check_rebuilds_no_sylow_subgroup(monkeypatch):
         assert builds[start:] == [], p
     # each Sylow subgroup was built once, by whichever check needed it first
     assert sorted(b for b in builds if b[0] == "sylow") == [("sylow", 2), ("sylow", 3)]
+
+
+def test_table_bytes_include_srinivasan_sylow_subgroup():
+    """Srinivasan's check keeps the first Sylow 2-subgroup of S4 in G's
+    cache, with its table, and ``group_cache_info`` counts that table."""
+    G = _group(write_group_file(named_group("S4")))
+    for p in primes_of(G):
+        verify_main(G, p)
+    before = group_cache_info().table_bytes
+    verify_srinivasan(G)
+    P = G.cache["first sylow", 2]
+    assert group_cache_info().table_bytes == before + P._table.nbytes > before
+
+
+STREAM_GROUPS = (
+    "S3", "Q8", "D8", "A4", "C3xS3", "C2xA4", "S4", "S3xS3",
+    "D4xS3", "C2xS4", "A5", "C2^6",
+)
+
+
+def _relabelled_text(name):
+    """Group-file text of the corpus group ``name`` with its points moved
+    by a fixed permutation of the points."""
+    G = named_group(name).group
+    n = G.degree
+    moved = list(range(n))[::-1]
+    lines = [f"name: {name}", f"degree: {n}"]
+    for g in G.generators:
+        images = [0] * n
+        for i, j in enumerate(g.images):
+            images[moved[i]] = moved[j]
+        lines.append(f"gen: {Permutation(images).cycle_string()}")
+    return "\n".join(lines) + "\n"
+
+
+def test_stream_path_repeats_find_group_and_verdict(monkeypatch):
+    """Single checks from group-file text, each run as parse_group_file ->
+    to_group -> verify_main: a second pass over the same requests finds
+    every group in the group-file cache and every verdict in the group's
+    cache, and gives records equal to the first pass's but for
+    ``elapsed``.  The verdicts agree with those on the corpus groups."""
+    requests = []
+    for name in STREAM_GROUPS:
+        text = _relabelled_text(name)
+        G = named_group(name).group
+        requests += [(text, p, mode) for p in primes_of(G) for mode in HypothesisMode]
+
+    def run(text, p, mode):
+        gf = parse_group_file(text)
+        return _plain(verify_main(gf.to_group(), p, mode, gf.name))
+
+    first = [run(*request) for request in requests]
+    before = group_cache_info()
+    assert before.misses == len(STREAM_GROUPS)
+    with monkeypatch.context() as m:
+        m.setattr(theorems, "main_hypothesis", None)
+        m.setattr(theorems, "main_conclusion", None)
+        second = [run(*request) for request in requests]
+    assert second == first
+    after = group_cache_info()
+    # each request looks its group up twice: parse_group_file's validation
+    # build and to_group
+    assert after.hits - before.hits == 2 * len(requests)
+    assert after.misses == before.misses
+    for (text, p, mode), record in zip(requests, first):
+        want = verify_main(named_group(record.group).group, p, mode)
+        assert (record.hypothesis, record.conclusion, record.violated) == (
+            want.hypothesis,
+            want.conclusion,
+            want.violated,
+        ), (record.group, p, mode)
 
 
 def test_import_loads_no_multiprocessing():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -392,6 +394,25 @@ def test_warm_corollaries_build_no_group(monkeypatch):
             assert run(G) == warm
 
 
+def test_warm_srinivasan_builds_no_group(monkeypatch):
+    """G's cache keeps the first Sylow subgroup of each prime, so a repeat
+    of Srinivasan's check, failing (S4) or not (D8xC3), builds no Group."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Group was built")
+
+    for name in ("S4", "D8xC3"):
+        G = named_group(name).group
+        G = Group(G.degree, G.generators)
+        warm = verify_srinivasan(G, name)
+        with monkeypatch.context() as m:
+            m.setattr(Group, "__init__", refuse)
+            again = verify_srinivasan(G, name)
+        assert again.witnesses == warm.witnesses
+        assert again.hypothesis == warm.hypothesis
+        assert again.conclusion == warm.conclusion
+
+
 def test_srinivasan_reads_one_sylow_subgroup_per_prime(monkeypatch):
     """S3 has three Sylow 2-subgroups and one Sylow 3-subgroup; the
     hypothesis is decided on the first of each, and ``checked`` still
@@ -407,3 +428,63 @@ def test_srinivasan_reads_one_sylow_subgroup_per_prime(monkeypatch):
     r = verify_srinivasan(named_group("S3").group, "S3")
     assert sorted(calls) == [2, 3]
     assert r.hypothesis and r.witnesses["checked"] == 4
+
+
+def test_repeated_main_check_reads_the_memo(monkeypatch):
+    """A repeat of the main check at the same (p, mode) decides nothing
+    again: it equals the first record in every field but ``elapsed``."""
+    for name in ("S4", "Q8", "C2xA4"):
+        G = named_group(name).group
+        G = Group(G.degree, G.generators)
+        first = {
+            (p, mode): verify_main(G, p, mode, name)
+            for p in primes_of(G)
+            for mode in HypothesisMode
+        }
+        with monkeypatch.context() as m:
+            m.setattr(theorems, "main_hypothesis", None)
+            m.setattr(theorems, "main_conclusion", None)
+            for (p, mode), want in first.items():
+                got = verify_main(G, p, mode, name)
+                assert got.elapsed > 0
+                assert dataclasses.replace(got, elapsed=want.elapsed) == want
+
+
+def test_main_check_records_own_their_witnesses():
+    """Changing one record's witnesses leaves the next record as it was."""
+    G = named_group("Q8").group
+    G = Group(G.degree, G.generators)
+    first = verify_main(G, 2)
+    family = list(first.witnesses["hypothesis"]["family"])
+    first.witnesses["hypothesis"]["family"].append("changed")
+    first.witnesses["conclusion"]["branch"] = "changed"
+    del first.witnesses["hypothesis"]["d"]
+    second = verify_main(G, 2)
+    assert second.witnesses["hypothesis"]["family"] == family
+    assert second.witnesses["hypothesis"]["d"] == 2
+    assert second.witnesses["conclusion"]["branch"] != "changed"
+    second.witnesses["hypothesis"]["family"].clear()
+    assert verify_main(G, 2).witnesses["hypothesis"]["family"] == family
+
+
+def test_main_check_memo_key_normalises_the_mode():
+    G = named_group("S4").group
+    G = Group(G.degree, G.generators)
+    for mode in HypothesisMode:
+        a = verify_main(G, 2, mode.value)
+        b = verify_main(G, 2, mode)
+        assert dataclasses.replace(a, elapsed=b.elapsed) == b
+    keys = [k for k in G.cache if isinstance(k, tuple) and k[0] == "main"]
+    assert sorted(k[2] for k in keys) == sorted(HypothesisMode)
+    assert all(type(k[2]) is HypothesisMode for k in keys)
+
+
+def test_main_check_caches_no_error():
+    """p not dividing |G|, and p not prime, raise on every call."""
+    G = named_group("S4").group
+    G = Group(G.degree, G.generators)
+    for p in (5, 4):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                verify_main(G, p)
+    assert not [k for k in G.cache if isinstance(k, tuple) and k[0] == "main"]
