@@ -20,8 +20,7 @@ next lookup.  So the cache retains at most 32 groups of order at most 128,
 each with a dense table of at most 64 KiB and the tables of its shared
 Sylow subgroups (``sylow_subgroup``): at most 3 of them, one per prime,
 each of order at most 64 and so at most 16 KiB.  That is 3.5 MiB of tables
-in all; Srinivasan's check adds at most one more Sylow subgroup per prime
-(5 MiB).  A repeated request thus finds G with everything its ``cache``
+in all.  A repeated request thus finds G with everything its ``cache``
 already holds, its Sylow subgroups with theirs, and a repeated main check
 at the same prime and mode finds its verdict there (``verify_main``).
 """

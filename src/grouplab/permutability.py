@@ -18,10 +18,8 @@ inverses iff HL = LH).
 Callers choose the batch.  The lemma suites pass G's whole subgroup
 lattice and read the predicates as vectors over it (one vector per L,
 cached); the quotient parts of the lemmas pass the images of many
-subgroups in G/N as one block; the main check and Srinivasan's check
-pass all maximal subgroups of a Sylow subgroup as one block, through the
-cached :func:`_sylow_predicates`, and a single predicate call is a block
-of one.  :func:`product_set` builds the two product sets of one pair, with
+subgroups in G/N as one block; single predicate calls pass a batch of
+one.  :func:`product_set` builds the two product sets of one pair, with
 its own assertions, for witness text and the public API.
 
 A subgroup argument is either a :class:`Group` or its bitmask over the
@@ -209,32 +207,27 @@ def _lattice_predicate(G: Group, coprime_only: bool, lattice_cap: int) -> np.nda
 # -- the predicates ---------------------------------------------------------------
 
 
-def _sylow_predicates(G: Group, masks: list[int], coprime_only: bool) -> list[bool]:
-    """s-permutability (s-semipermutability when ``coprime_only``) of the
-    subgroups with these masks over G's index, cached in G under
-    ("s-perm" or "s-semiperm", mask).  The masks not yet cached are decided
-    together, in blocks of at most ``_BLOCK`` cells, so the kernel runs once
-    per Sylow subgroup for a block rather than once per mask."""
-    tag = "s-semiperm" if coprime_only else "s-perm"
-    todo = [m for m in dict.fromkeys(masks) if (tag, m) not in G.cache]
-    found: dict[int, bool] = {}
-    step = max(1, _BLOCK // G.order())
-    for lo in range(0, len(todo), step):
-        chunk = todo[lo : lo + step]
-        rows = _mask_rows(chunk, G.order())
-        found.update(zip(chunk, _block_predicate(G, rows, coprime_only).tolist()))
-    return [_cached(G, (tag, m), lambda: found[m]) for m in masks]
+def _cached_predicate(G: Group, tag: str, H: Group | int, fn) -> bool:
+    """fn(mask of H), cached in G under (tag, mask)."""
+    mask = G.mask_of(H)
+    return _cached(G, (tag, mask), lambda: fn(mask))
+
+
+def _one(G: Group, mask: int, coprime_only: bool) -> bool:
+    """The Sylow test for one subgroup: a batch of one row."""
+    rows = _mask_rows([mask], G.order())
+    return bool(_block_predicate(G, rows, coprime_only)[0])
 
 
 def is_s_permutable(G: Group, H: Group | int) -> bool:
     """H permutes with every Sylow q-subgroup of G, for every prime q."""
-    return _sylow_predicates(G, [G.mask_of(H)], False)[0]
+    return _cached_predicate(G, "s-perm", H, lambda m: _one(G, m, False))
 
 
 def is_s_semipermutable(G: Group, H: Group | int) -> bool:
     """H permutes with every Sylow q-subgroup for every prime q not
     dividing |H|."""
-    return _sylow_predicates(G, [G.mask_of(H)], True)[0]
+    return _cached_predicate(G, "s-semiperm", H, lambda m: _one(G, m, True))
 
 
 def is_semipermutable(
@@ -255,9 +248,7 @@ def is_semipermutable(
             size=G.order(),
         )
 
-    mask = G.mask_of(H)
-
-    def compute() -> bool:
+    def compute(mask: int) -> bool:
         h = mask.bit_count()
         coprime = [
             K
@@ -266,4 +257,4 @@ def is_semipermutable(
         ]
         return bool(permutes_with(G, _mask_rows(coprime, G.order()), mask).all())
 
-    return _cached(G, ("semiperm", mask), compute)
+    return _cached_predicate(G, "semiperm", H, compute)

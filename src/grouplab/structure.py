@@ -171,13 +171,8 @@ def _sylow_by_ascent(G: Group, p: int, target: int) -> Group:
 
 
 def _shared_sylows(G: Group) -> list[Group]:
-    """The Sylow subgroups that G's cache keeps: :func:`sylow_subgroup`'s
-    shared P and Srinivasan's check's first Sylow subgroup, per prime."""
-    return [
-        v
-        for k, v in G.cache.items()
-        if isinstance(k, tuple) and k[0] in ("sylow", "first sylow")
-    ]
+    """The Sylow subgroups that G's cache keeps (see :func:`sylow_subgroup`)."""
+    return [v for k, v in G.cache.items() if isinstance(k, tuple) and k[0] == "sylow"]
 
 
 def all_sylow_subgroups(G: Group, p: int) -> SylowSystem:

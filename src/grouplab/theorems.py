@@ -53,7 +53,8 @@ from .permutability import (
     _lattice_permutes,
     _lattice_predicate,
     _lattice_rows,
-    _sylow_predicates,
+    is_s_permutable,
+    is_s_semipermutable,
     permutes_with,
     product_set,
 )
@@ -180,16 +181,14 @@ def main_hypothesis(
         canonical = [
             functionals.index((0,) * i + (1,) + (0,) * (d - 1 - i)) for i in range(d)
         ]
-        ok = _sylow_predicates(G, [masks[i] for i in canonical], True)
-        bad = next((i for i, passes in zip(canonical, ok) if not passes), None)
-        if bad is not None:
-            wit["failing_member"] = _fmt_group(maximals[bad])
-            wit["failure"] = _ssp_failure(G, masks[bad])
-            return False, wit
+        for i in canonical:
+            if not is_s_semipermutable(G, masks[i]):
+                wit["failing_member"] = _fmt_group(maximals[i])
+                wit["failure"] = _ssp_failure(G, masks[i])
+                return False, wit
         wit["family"] = [_fmt_group(maximals[i]) for i in sorted(canonical)]
         return True, wit
-    ok = _sylow_predicates(G, masks, True)
-    passing = [i for i, passes in enumerate(ok) if passes]
+    passing = [i for i, m in enumerate(masks) if is_s_semipermutable(G, m)]
     passed = set(passing)
     wit["passing_count"] = len(passing)
     if mode is HypothesisMode.FORALL:
@@ -632,12 +631,10 @@ def verify_lemma_2_3(
         for p in primes_of(G):
             P = all_sylow_subgroups(G, p).representative
             p_idx = G.indices_of(P)
-            masks = [
-                mask_from_indices(p_idx[indices_from_mask(sub, len(p_idx))], n)
-                for sub in lattice_masks(P, lattice_cap)[1:]
-            ]
-            ok = _sylow_predicates(G, masks, True)
-            found.update(m for m, passes in zip(masks, ok) if passes)
+            for sub in lattice_masks(P, lattice_cap)[1:]:
+                m = mask_from_indices(p_idx[indices_from_mask(sub, len(p_idx))], n)
+                if m not in found and is_s_semipermutable(G, m):
+                    found.add(m)
         candidates = sorted(found, key=lambda m: (m.bit_count(), m))
     # every subgroup of a soluble group is soluble, so G decides them all
     # and the closures are built only for an insoluble G or a counterexample
@@ -696,8 +693,7 @@ def verify_srinivasan(
     """All maximal subgroups of all Sylow subgroups s-permutable implies
     supersoluble.  s-permutability is invariant under conjugation, so the
     first Sylow p-subgroup in mask order (G for a p-group) stands for all;
-    ``checked`` still counts the maximal subgroups of all.  G's cache keeps
-    that subgroup under ("first sylow", p)."""
+    ``checked`` still counts the maximal subgroups of all."""
     t0 = time.perf_counter()
     hyp = True
     wit: dict = {"checked": 0}
@@ -705,12 +701,10 @@ def verify_srinivasan(
         system = all_sylow_subgroups(G, p)
         P = system.representative
         if P.order() != G.order():
-            P = _cached(
-                G, ("first sylow", p), lambda: G.subgroup_from_mask(system.masks[0])
-            )
+            P = G.subgroup_from_mask(system.masks[0])
         maximals = _maximal_data(P)[1]
-        ok = _sylow_predicates(G, _maximal_masks(G, P), False)
-        bad = next((i for i, passes in enumerate(ok) if not passes), None)
+        masks = _maximal_masks(G, P)
+        bad = next((i for i, m in enumerate(masks) if not is_s_permutable(G, m)), None)
         if bad is None:
             wit["checked"] += system.count * len(maximals)
             continue

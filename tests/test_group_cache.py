@@ -168,18 +168,6 @@ def test_repeated_check_rebuilds_no_sylow_subgroup(monkeypatch):
     assert sorted(b for b in builds if b[0] == "sylow") == [("sylow", 2), ("sylow", 3)]
 
 
-def test_table_bytes_include_srinivasan_sylow_subgroup():
-    """Srinivasan's check keeps the first Sylow 2-subgroup of S4 in G's
-    cache, with its table, and ``group_cache_info`` counts that table."""
-    G = _group(write_group_file(named_group("S4")))
-    for p in primes_of(G):
-        verify_main(G, p)
-    before = group_cache_info().table_bytes
-    verify_srinivasan(G)
-    P = G.cache["first sylow", 2]
-    assert group_cache_info().table_bytes == before + P._table.nbytes > before
-
-
 STREAM_GROUPS = (
     "S3", "Q8", "D8", "A4", "C3xS3", "C2xA4", "S4", "S3xS3",
     "D4xS3", "C2xS4", "A5", "C2^6",

@@ -2,28 +2,17 @@
 import pytest
 
 import naive
-from grouplab import permutability
-from grouplab.corpus import builtin_corpus, named_group
+from grouplab.corpus import builtin_corpus
 from grouplab.errors import LatticeCapError
-from grouplab.groups import Group, is_normal, normalizer, subgroup_generated
+from grouplab.groups import is_normal, normalizer, subgroup_generated
 from grouplab.permutability import (
-    _sylow_predicates,
     is_s_permutable,
     is_s_semipermutable,
     is_semipermutable,
     product_set,
 )
 from grouplab.perms import Permutation
-from grouplab.structure import (
-    _maximal_masks,
-    all_subgroups,
-    all_sylow_subgroups,
-    o_p,
-    p_part,
-    p_residual,
-    primes_of,
-    sylow_subgroup,
-)
+from grouplab.structure import all_subgroups, p_part, p_residual, primes_of, o_p
 
 P = Permutation.parse
 
@@ -185,45 +174,3 @@ def test_cache_consistency(s4):
     H2 = subgroup_generated(fresh, [P(4, "(1 2 3 4)")])
     assert is_s_permutable(fresh, H2) == warm
     assert is_s_permutable(s4, H) == warm
-
-
-@pytest.mark.parametrize("name", ["S4", "C2xA4", "C2^4", "S3xS3"])
-@pytest.mark.parametrize("block", [None, 1])
-def test_sylow_predicates_on_maximal_blocks(name, block, monkeypatch):
-    """The maximal subgroups of each Sylow subgroup, decided as one block
-    (or, with the block budget cut to one row, one row at a time): the
-    answers equal the element-list oracle's, the kernel runs at most once
-    per Sylow subgroup, and the single-mask predicates then read the same
-    cache entries without running the kernel again."""
-    if block is not None:
-        monkeypatch.setattr(permutability, "_BLOCK", block)
-    G = named_group(name).group
-    G = Group(G.degree, G.generators)
-    E = naive.closure(G.degree, G.generators)
-    sylows = sum(all_sylow_subgroups(G, q).count for q in primes_of(G))
-    calls = []
-    kernel = permutability.permutes_with
-
-    def counted(G, rows, L):
-        calls.append(len(rows))
-        return kernel(G, rows, L)
-
-    monkeypatch.setattr(permutability, "permutes_with", counted)
-    for p in primes_of(G):
-        masks = _maximal_masks(G, sylow_subgroup(G, p))
-        sets = [frozenset(G.subgroup_from_mask(m).elements()) for m in masks]
-        for coprime_only, single, oracle in (
-            (False, is_s_permutable, naive.is_s_permutable),
-            (True, is_s_semipermutable, naive.is_s_semipermutable),
-        ):
-            start = len(calls)
-            got = _sylow_predicates(G, masks, coprime_only)
-            assert got == [oracle(G.degree, E, HE) for HE in sets], (p, coprime_only)
-            if block is None:
-                assert len(calls) - start <= sylows
-            tag = "s-semiperm" if coprime_only else "s-perm"
-            assert [G.cache[tag, m] for m in masks] == got
-            start = len(calls)
-            assert [single(G, m) for m in masks] == got
-            assert _sylow_predicates(G, masks, coprime_only) == got
-            assert len(calls) == start

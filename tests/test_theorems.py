@@ -394,25 +394,6 @@ def test_warm_corollaries_build_no_group(monkeypatch):
             assert run(G) == warm
 
 
-def test_warm_srinivasan_builds_no_group(monkeypatch):
-    """G's cache keeps the first Sylow subgroup of each prime, so a repeat
-    of Srinivasan's check, failing (S4) or not (D8xC3), builds no Group."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a Group was built")
-
-    for name in ("S4", "D8xC3"):
-        G = named_group(name).group
-        G = Group(G.degree, G.generators)
-        warm = verify_srinivasan(G, name)
-        with monkeypatch.context() as m:
-            m.setattr(Group, "__init__", refuse)
-            again = verify_srinivasan(G, name)
-        assert again.witnesses == warm.witnesses
-        assert again.hypothesis == warm.hypothesis
-        assert again.conclusion == warm.conclusion
-
-
 def test_srinivasan_reads_one_sylow_subgroup_per_prime(monkeypatch):
     """S3 has three Sylow 2-subgroups and one Sylow 3-subgroup; the
     hypothesis is decided on the first of each, and ``checked`` still
