@@ -17,12 +17,12 @@ earlier group file with the same degree and generator lines, from a
 least-recently-used cache of at most ``GROUP_CACHE_SIZE`` groups.  A group
 whose order is known to exceed ``GROUP_CACHE_MAX_ORDER`` is dropped at the
 next lookup.  So the cache retains at most 32 groups of order at most 128,
-each with a dense table of at most 64 KiB and the tables of its shared
-Sylow subgroups (``sylow_subgroup``): at most 3 of them, one per prime,
-each of order at most 64 and so at most 16 KiB.  That is 3.5 MiB of tables
-in all.  A repeated request thus finds G with everything its ``cache``
-already holds, its Sylow subgroups with theirs, and a repeated main check
-at the same prime and mode finds its verdict there (``verify_main``).
+each with a dense table of at most 64 KiB: 2 MiB of tables in all, since
+its shared Sylow subgroups (``sylow_subgroup``) build none of their own.
+A repeated request thus finds G with everything its ``cache`` already
+holds, its Sylow subgroups and their Phi(P) and maximal subgroups among
+them, and a repeated main check at the same prime and mode finds its
+verdict there (``verify_main``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import NamedTuple
 from .errors import CycleFormatError
 from .groups import Group, group_from_generators
 from .perms import Permutation
-from .structure import _shared_sylows, is_prime
+from .structure import is_prime
 
 
 @dataclass
@@ -102,20 +102,17 @@ def _cached_group(degree: int, generators: tuple[str, ...]) -> Group:
     return G
 
 
-def _table_bytes(G: Group) -> int:
-    """Bytes of G's dense table and of its shared Sylow subgroups' tables."""
-    return sum(H._table.nbytes for H in [G, *_shared_sylows(G)] if H._table is not None)
-
-
 def group_cache_info() -> GroupCacheInfo:
     """Hits and misses of ``GroupFile.to_group`` since the last clear, the
-    groups held, and the bytes of the dense tables they retain (their own
-    and their Sylow subgroups')."""
+    groups held, and the bytes of their dense tables (a Sylow subgroup
+    builds none of its own)."""
     return GroupCacheInfo(
         hits=_counts["hits"],
         misses=_counts["misses"],
         entries=len(_groups),
-        table_bytes=sum(_table_bytes(G) for G in _groups.values()),
+        table_bytes=sum(
+            G._table.nbytes for G in _groups.values() if G._table is not None
+        ),
     )
 
 

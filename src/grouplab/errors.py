@@ -15,12 +15,12 @@ DEFAULT_LATTICE_CAP = 400
 """Largest group order for which the full subgroup lattice is built."""
 
 DEFAULT_TABLE_CAP = 2048
-"""Largest group order whose normal closures, and for a p-group its
-Frattini subgroup, Burnside basis and maximal subgroups, are built on its
-multiplication table; above it, or above the group's enumeration cap,
-``normal_closure`` and the p-group frame work on generators and
-stabilizer chains and need neither the element list nor the table.  A
-threshold, not a cap: nothing raises on it."""
+"""Largest group order whose normal closures, and for a p-group P its
+Frattini subgroup, Burnside basis and maximal subgroups, are built on a
+multiplication table (G's for a Sylow subgroup P of G); above it, or above
+the group's enumeration cap, ``normal_closure`` and the p-group frame work
+on generators and stabilizer chains and need neither the element list nor
+the table.  A threshold, not a cap: nothing raises on it."""
 
 DEFAULT_FAMILY_LIMIT = 100_000
 """Most maximal-subgroup families enumerated per p-group."""

@@ -12,7 +12,7 @@ generators and stabilizer chains, which needs no element list, for groups
 above ``DEFAULT_TABLE_CAP`` or above their enumeration cap
 (:func:`_on_table`): :func:`normal_closure`, and the p-group frame of
 :mod:`grouplab.structure` (Phi(P), the Burnside basis and the maximal
-subgroups of P).
+subgroups of P), which for a Sylow subgroup P of G runs on G's table.
 
 Element data are NumPy arrays with one input, the element matrix (one row
 of images per element, rows in canonical order).  A group derived from an
@@ -635,14 +635,18 @@ def normal_closure(G: Group, H: Group) -> Group:
     return K
 
 
-def _normal_closure_indices(G: Group, H: Group | int) -> np.ndarray:
+def _normal_closure_indices(
+    G: Group, H: Group | int, by: Sequence[Permutation] | None = None
+) -> np.ndarray:
     """Indices of the normal closure of H (a subgroup or its mask) on G's
     table: closed alternately under products and under conjugation by G's
-    generators until stable."""
+    generators until stable.  With ``by`` the generators of a subgroup K
+    of G containing H, it is the normal closure of H in K."""
     tbl = G.table()
     member = np.zeros(G.order(), dtype=bool)
     member[_closure_indices(tbl, G.indices_of(H))] = True
-    cvecs = [G.conjugation_vector(G.element_index(g)) for g in G.generators]
+    by = G.generators if by is None else by
+    cvecs = [G.conjugation_vector(G.element_index(g)) for g in by]
     while True:
         cur = np.nonzero(member)[0]
         fresh = [cv[cur][~member[cv[cur]]] for cv in cvecs]

@@ -90,6 +90,8 @@ def expand_checks(tokens) -> list[str]:
             out.append(token)
         else:
             raise ValueError(f"unknown check {token!r}")
+    if not out:
+        raise ValueError("no check requested")
     seen = set()
     return [c for c in out if not (c in seen or seen.add(c))]
 
@@ -283,6 +285,8 @@ def run_corpus(
     """
     mode = HypothesisMode(mode)
     check_ids = expand_checks(checks)
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be at least 1, not {parallelism}")
     run = partial(_run_chain, check_ids=check_ids, mode=mode, lattice_cap=lattice_cap)
     ordered = sorted(corpus, key=lambda ng: ng.name)
     pool = None

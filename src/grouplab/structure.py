@@ -12,15 +12,17 @@ the elementary abelian quotient P/Phi(P); the generator-number d satisfies
 p^d = |P/Phi(P)| and every d-subset of maximal subgroups intersecting in
 Phi(P) corresponds to a linearly independent set of d linear functionals.
 On the table path (``groups._on_table``: |P| at most both
-``DEFAULT_TABLE_CAP`` and P's enumeration cap) all of this runs on P's
-table: Phi(P) is a normal closure and the Burnside basis a chain of
-closures on P's element indices, every element gets its coordinates in
-F_p^d from the cosets b_1^a_1 ... b_d^a_d Phi(P) of the basis, and the
-maximal subgroups are the kernels {x : f . c(x) = 0 mod p} of the
-normalized functionals f, all from one product of the coordinates with
-the functionals.  Each kernel becomes a ``Group`` with P's rows, so no
-stabilizer chain is built for it.  Otherwise the frame and the maximal
-subgroups are built from generators.
+``DEFAULT_TABLE_CAP`` and P's enumeration cap) all of this runs on the
+table of the group G whose rows P has (G for a Sylow subgroup of G, P for
+a p-group given alone), and G's cache keeps it under P's generators:
+Phi(P) is a normal closure in P and the Burnside basis a chain of
+closures, P's elements get their coordinates in F_p^d from the cosets
+b_1^a_1 ... b_d^a_d Phi(P) of the basis, and the maximal subgroups are the
+kernels {x : f . c(x) = 0 mod p} of the normalized functionals f, all
+from one product of the coordinates with the functionals, as masks over
+G.  Each kernel becomes a ``Group`` with G's rows, so no stabilizer chain
+is built for it.  Otherwise the frame and the maximal subgroups are built
+from generators.
 """
 
 from __future__ import annotations
@@ -129,10 +131,12 @@ def sylow_subgroup(G: Group, p: int) -> Group:
     p-element of N_G(P) outside P at each step; the result takes G's rows.
 
     The result is shared: when 1 < |G|_p < |G|, G's cache keeps it under
-    ``("sylow", p)``, so every caller gets the same P, and with it P's own
-    cache (its table, Phi(P), maximal subgroups and kernels).  The trivial
-    subgroup (p not dividing |G|) and G itself (a p-group) are returned
-    uncached: keeping G in its own cache would make a reference cycle.
+    ``("sylow", p)``, so every caller gets the same P, and with it the
+    Phi(P) and maximal subgroups that G's cache keeps under P's generators
+    (``_p_group_frame``, ``_maximal_data``).  P builds no table of its own:
+    its frame runs on G's.  The trivial subgroup (p not dividing |G|) and G
+    itself (a p-group) are returned uncached: keeping G in its own cache
+    would make a reference cycle.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -168,11 +172,6 @@ def _sylow_by_ascent(G: Group, p: int, target: int) -> Group:
         idx = _closure_indices(tbl, np.append(idx, fresh[0]), closed=idx)
     gens = [G.element_at(i) for i in picked]
     return Group(G.degree, gens, G.enum_cap, _known_emat=G._matrix()[idx])
-
-
-def _shared_sylows(G: Group) -> list[Group]:
-    """The Sylow subgroups that G's cache keeps (see :func:`sylow_subgroup`)."""
-    return [v for k, v in G.cache.items() if isinstance(k, tuple) and k[0] == "sylow"]
 
 
 def all_sylow_subgroups(G: Group, p: int) -> SylowSystem:
@@ -488,36 +487,41 @@ def frattini_p_group(P: Group) -> Group:
     commutators and generator p-th powers (Burnside basis theorem)."""
     if P.is_trivial:
         return P
-    return _p_group_frame(P)[1]
+    return _p_group_frame(P, P)[1]
 
 
-def _p_group_frame(P: Group) -> tuple[int, Group, tuple[Permutation, ...], int]:
-    """(p, Phi(P), minimal generating sequence, d) for a nontrivial p-group.
+def _p_group_frame(
+    P: Group, G: Group
+) -> tuple[int, Group, tuple[Permutation, ...], int]:
+    """(p, Phi(P), minimal generating sequence, d) for a nontrivial p-group
+    P whose rows are G's (G = P, or P a subgroup made from G's rows), kept
+    in G's cache under P's generators.
 
-    Phi(P) is the normal closure of the generators' p-th powers and pairwise
-    commutators; the basis is the run of generators outside the span of
-    Phi(P) and the generators taken before them.  On the table path
-    (``_on_table``) both are closed on P's table, and Phi(P) takes P's
+    Phi(P) is the normal closure in P of the generators' p-th powers and
+    pairwise commutators; the basis is the run of generators outside the
+    span of Phi(P) and the generators taken before them.  On the table path
+    (``_on_table(P)``) both are closed on G's table, and Phi(P) takes G's
     rows; otherwise each is a ``Group`` on generators, like
     :func:`normal_closure`.  Either way Phi(P) gets the generators that
-    ``normal_closure`` gives it, which fix the witness text.
+    ``normal_closure`` gives it in P (whose rows are G's, in G's order),
+    which fix the witness text.
     """
 
     def build():
         p = p_group_prime(P)
         basis: list[Permutation] = []
         if _on_table(P):
-            tbl, inv = P.table(), P.inverse_indices()
-            gens = np.array([P.element_index(g) for g in P.generators], dtype=np.int64)
+            tbl, inv = G.table(), G.inverse_indices()
+            gens = np.array([G.element_index(g) for g in P.generators], dtype=np.int64)
             powers = gens
             for _ in range(p - 1):
                 powers = tbl[powers, gens]
             first, second = np.triu_indices(len(gens), 1)
             a, b = gens[first], gens[second]
             commutators = tbl[tbl[inv[a], inv[b]], tbl[a, b]]
-            seed = mask_from_indices(np.concatenate([powers, commutators]), P.order())
-            span = _normal_closure_indices(P, seed)
-            phi = P.subgroup_from_indices(span)
+            seed = mask_from_indices(np.concatenate([powers, commutators]), G.order())
+            span = _normal_closure_indices(G, seed, P.generators)
+            phi = G.subgroup_from_indices(span)
             for g, i in zip(P.generators, gens):
                 if not (span == i).any():
                     basis.append(g)
@@ -544,14 +548,14 @@ def _p_group_frame(P: Group) -> tuple[int, Group, tuple[Permutation, ...], int]:
             raise AssertionError("Burnside basis extraction failed")
         return p, phi, tuple(basis), d
 
-    return _cached(P, "pframe", build)
+    return _cached(G, ("pframe", P.generators), build)
 
 
 def smallest_generator_number(P: Group) -> int:
     """d with p^d = |P / Phi(P)|, the minimum size of a generating set."""
     if P.is_trivial:
         return 0
-    return _p_group_frame(P)[3]
+    return _p_group_frame(P, P)[3]
 
 
 def _normalized_functionals(p: int, d: int) -> list[tuple[int, ...]]:
@@ -564,47 +568,30 @@ def _normalized_functionals(p: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _frattini_coordinates(
-    P: Group, p: int, phi_idx: np.ndarray, basis: tuple[Permutation, ...]
-) -> np.ndarray:
-    """The (|P|, d) coordinates of P's elements in P/Phi(P) = F_p^d for
-    the basis b_1..b_d: the coset b_1^a_1 ... b_d^a_d Phi(P) is scattered
-    with coordinates a, in the order of ``product(range(p), repeat=d)``."""
-    tbl = P.table()
-    reps = np.zeros(1, dtype=np.int64)
-    for b in basis:
-        bi = P.element_index(b)
-        steps = [reps]
-        for _ in range(p - 1):
-            steps.append(tbl[steps[-1], bi])
-        reps = np.stack(steps, axis=1).ravel()
-    cosets = tbl[reps[:, None], phi_idx]
-    coords = np.full((P.order(), len(basis)), -1, dtype=np.int64)
-    coords[cosets] = np.array(list(product(range(p), repeat=len(basis))))[:, None]
-    if (coords < 0).any():
-        raise AssertionError("the cosets b^a Phi(P) do not cover P")
-    return coords
-
-
-def _maximal_data(P: Group) -> tuple[list[tuple[int, ...]], list[Group]]:
-    """(functionals, maximal subgroups) of a p-group, in matching order.
+def _maximal_data(
+    P: Group, G: Group
+) -> tuple[list[tuple[int, ...]], list[Group], list[int] | None]:
+    """(functionals, maximal subgroups, their masks over G's index) of a
+    p-group P whose rows are G's, in matching order, kept in G's cache
+    under P's generators (see ``_p_group_frame``).
 
     The maximal subgroup of the normalized functional f is generated by
     Phi(P) and the lifts b_j b_lead^k of a basis of f's kernel.  On the
-    table path (``_on_table``) it also gets its rows: it is the kernel
-    {x : f . c(x) = 0 mod p} of P's coordinates c in P/Phi(P), and one
-    product of the coordinates with all the functionals gives every
-    kernel at once; P's cache keeps the kernels as a bool block
-    (``"pkernels"``).  Otherwise the groups build their own elements.
-    For cyclic P (d = 1) the one maximal subgroup is Phi(P) itself.
+    table path (``_on_table``) it is also the kernel {x : f . c(x) = 0 mod p}
+    of the coordinates c in P/Phi(P): one product of the p^d coordinate
+    vectors with all the functionals, scattered over the cosets
+    b_1^a_1 ... b_d^a_d Phi(P), gives every kernel as a row over G's index,
+    its mask and its rows of G's element matrix.  Otherwise the groups
+    build their own elements and the masks are None, as for cyclic P
+    (d = 1), whose one maximal subgroup is Phi(P) itself.
     """
 
     def build():
         if P.is_trivial:
-            return [], []
-        p, phi, basis, d = _p_group_frame(P)
+            return [], [], []
+        p, phi, basis, d = _p_group_frame(P, G)
         if d == 1:
-            return [(1,)], [phi]
+            return [(1,)], [phi], None
         pair_cache: dict[tuple[int, int, int], Permutation] = {}
 
         def lift(j: int, lead: int, k: int) -> Permutation:
@@ -626,55 +613,55 @@ def _maximal_data(P: Group) -> tuple[list[tuple[int, ...]], list[Group]]:
         phigens = list(phi.generators)
         if not _on_table(P):
             maximals = [Group(P.degree, phigens + ls, P.enum_cap) for ls in lifts]
-        else:
-            phi_idx = P.indices_of(phi)
-            coords = _frattini_coordinates(P, p, phi_idx, basis)
-            kernels = ((coords @ np.array(functionals).T) % p == 0).T
-            lift_idx = {g: P.element_index(g) for g in set().union(*lifts)}
-            lift_cols = np.array(
-                [[lift_idx[g] for g in ls] for ls in lifts], dtype=np.int64
-            )
-            if (
-                (kernels.sum(axis=1) != P.order() // p).any()
-                or not kernels[:, phi_idx].all()
-                or not np.take_along_axis(kernels, lift_cols, axis=1).all()
-            ):
-                raise AssertionError("hyperplane kernel is not its maximal subgroup")
-            emat = P._matrix()
-            maximals = [
-                Group(P.degree, phigens + ls, P.enum_cap, _known_emat=emat[inside])
-                for ls, inside in zip(lifts, kernels)
-            ]
-            P.cache["pkernels"] = kernels
-        return functionals, maximals
+            return functionals, maximals, None
+        tbl = G.table()
+        reps = np.zeros(1, dtype=np.int64)
+        for b in basis:
+            bi = G.element_index(b)
+            steps = [reps]
+            for _ in range(p - 1):
+                steps.append(tbl[steps[-1], bi])
+            reps = np.stack(steps, axis=1).ravel()
+        phi_idx = G.indices_of(phi)
+        cosets = tbl[reps[:, None], phi_idx]  # row a: the coset of coordinates a
+        if np.unique(cosets).size != P.order():
+            raise AssertionError("the cosets b^a Phi(P) do not cover P")
+        coords = np.array(list(product(range(p), repeat=d)))
+        on = (np.array(functionals) @ coords.T) % p == 0  # functional x coset
+        kernels = np.zeros((len(functionals), G.order()), dtype=bool)
+        kernels[:, cosets] = on[:, :, None]
+        lift_idx = {g: G.element_index(g) for g in set().union(*lifts)}
+        lift_cols = np.array(
+            [[lift_idx[g] for g in ls] for ls in lifts], dtype=np.int64
+        )
+        if (
+            (kernels.sum(axis=1) != P.order() // p).any()
+            or not kernels[:, phi_idx].all()
+            or not np.take_along_axis(kernels, lift_cols, axis=1).all()
+        ):
+            raise AssertionError("hyperplane kernel is not its maximal subgroup")
+        emat = G._matrix()
+        maximals = [
+            Group(P.degree, phigens + ls, P.enum_cap, _known_emat=emat[inside])
+            for ls, inside in zip(lifts, kernels)
+        ]
+        return functionals, maximals, _row_masks(kernels)
 
-    return _cached(P, "pmaximals", build)
+    return _cached(G, ("pmaximals", P.generators), build)
 
 
-def _maximal_masks(G: Group, P: Group) -> list[int]:
-    """Masks over G's index of the maximal subgroups of the p-subgroup P,
-    in the order of ``_maximal_data``: P's index set in G restricted to
-    each kernel row over P's index.  Where ``_maximal_data`` kept no
-    kernels (d = 1, or P off the table path) the rows come from
-    looking the maximal subgroups up in P's index."""
-    maximals = _maximal_data(P)[1]
-
-    def build():
-        block = np.zeros((len(maximals), P.order()), dtype=bool)
-        for row, M in zip(block, maximals):
-            row[P.indices_of(M)] = True
-        return block
-
-    kernels = _cached(P, "pkernels", build)
-    block = np.zeros((len(maximals), G.order()), dtype=bool)
-    block[:, G.indices_of(P)] = kernels
-    return _row_masks(block)
+def _maximal_masks(P: Group, G: Group) -> list[int]:
+    """Masks over G's index of the maximal subgroups of the p-subgroup P
+    whose rows are G's, in the order of ``_maximal_data``: its kernel rows,
+    or where it made none, the maximal subgroups looked up in G's index."""
+    _, maximals, masks = _maximal_data(P, G)
+    return masks if masks is not None else [G.mask_of(M) for M in maximals]
 
 
 def maximal_subgroups_of_p_group(P: Group) -> list[Group]:
     """All index-p subgroups, as hyperplane preimages; their count is
     (p^d - 1)/(p - 1)."""
-    return _maximal_data(P)[1]
+    return _maximal_data(P, P)[1]
 
 
 def _rank_mod_p(rows: list[tuple[int, ...]], p: int) -> int:
@@ -718,8 +705,8 @@ def md_families(
     """
     if P.is_trivial:
         return
-    p, phi, basis, d = _p_group_frame(P)
-    functionals, maximals = _maximal_data(P)
+    p, phi, basis, d = _p_group_frame(P, P)
+    functionals, maximals, _ = _maximal_data(P, P)
     pos = {vec: i for i, vec in enumerate(functionals)}
     canonical = tuple(
         sorted(pos[(0,) * i + (1,) + (0,) * (d - 1 - i)] for i in range(d))

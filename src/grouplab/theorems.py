@@ -72,6 +72,7 @@ from .structure import (
     _maximal_data,
     _maximal_masks,
     _o_p_mask,
+    _p_group_frame,
     _p_residual_mask,
     _rank_mod_p,
     all_sylow_subgroups,
@@ -81,7 +82,6 @@ from .structure import (
     p_part,
     prime_factors,
     primes_of,
-    smallest_generator_number,
     sylow_subgroup,
 )
 
@@ -171,12 +171,10 @@ def main_hypothesis(
         raise ValueError(f"prime {p} does not divide the group order")
     mode = HypothesisMode(mode)
     P = sylow_subgroup(G, p)
-    d = smallest_generator_number(P)
-    functionals, maximals = _maximal_data(P)
+    functionals, maximals = _maximal_data(P, G)[:2]
+    d = _p_group_frame(P, G)[3]
     wit: dict = {"d": d, "maximal_count": len(maximals), "mode": mode.value}
-    if d == 0:
-        return True, wit
-    masks = _maximal_masks(G, P)
+    masks = _maximal_masks(P, G)
     if mode is HypothesisMode.CANONICAL:
         canonical = [
             functionals.index((0,) * i + (1,) + (0,) * (d - 1 - i)) for i in range(d)
@@ -702,8 +700,8 @@ def verify_srinivasan(
         P = system.representative
         if P.order() != G.order():
             P = G.subgroup_from_mask(system.masks[0])
-        maximals = _maximal_data(P)[1]
-        masks = _maximal_masks(G, P)
+        maximals = _maximal_data(P, G)[1]
+        masks = _maximal_masks(P, G)
         bad = next((i for i, m in enumerate(masks) if not is_s_permutable(G, m)), None)
         if bad is None:
             wit["checked"] += system.count * len(maximals)

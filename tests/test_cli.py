@@ -128,6 +128,23 @@ def test_verify_unknown_check(capsys):
     assert code == 2
 
 
+def test_verify_empty_check_list_is_a_usage_error(capsys):
+    """A run that would check nothing fails instead of reporting success."""
+    for checks in (",", ""):
+        code, out, err = run_cli(
+            capsys, "verify", "--max-order", "4", "--checks", checks
+        )
+        assert code == 2 and out == "", repr(checks)
+        assert "usage error: no check requested" in err
+
+
+def test_verify_jobs_below_one_is_a_usage_error(capsys):
+    for jobs in ("0", "-2"):
+        code, out, err = run_cli(capsys, "verify", "--max-order", "4", "--jobs", jobs)
+        assert code == 2 and out == "", jobs
+        assert "usage error: parallelism must be at least 1" in err
+
+
 def test_verify_error_record_exits_nonzero(tmp_path, capsys, monkeypatch):
     import grouplab.runner as runner_mod
 

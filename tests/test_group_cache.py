@@ -66,9 +66,9 @@ def test_entries_bounded():
 
 
 def test_large_group_dropped_at_next_lookup():
-    """The retained table bytes are the small group's table and those of
-    its Sylow subgroups, which a check at every prime builds; the large
-    group goes with its own."""
+    """The retained table bytes are the small group's table alone: a check
+    at every prime finds its Sylow subgroups, which build no table of their
+    own.  The large group goes with its table."""
     small = _group("name: s\ndegree: 4\ngen: (1 2 3 4)\ngen: (1 2)\n")
     big = _group("name: b\ndegree: 6\ngen: (1 2 3 4 5 6)\ngen: (1 2)\n")
     for G in (small, big):
@@ -80,9 +80,8 @@ def test_large_group_dropped_at_next_lookup():
     info = group_cache_info()
     sylows = [sylow_subgroup(small, p) for p in primes_of(small)]
     assert [P.order() for P in sylows] == [8, 3]
-    assert all(P._table is not None for P in sylows)
-    want = small._table.nbytes + sum(P._table.nbytes for P in sylows)
-    assert info.entries == 2 and info.table_bytes == want
+    assert all(P._table is None for P in sylows)
+    assert info.entries == 2 and info.table_bytes == small._table.nbytes
     assert _group("name: b\ndegree: 6\ngen: (1 2 3 4 5 6)\ngen: (1 2)\n") is not big
     assert _group("name: s\ndegree: 4\ngen: (1 2 3 4)\ngen: (1 2)\n") is small
 
@@ -139,8 +138,9 @@ def test_reused_groups_give_fresh_answers():
 
 def test_repeated_check_rebuilds_no_sylow_subgroup(monkeypatch):
     """A second check of a cached group at the same prime finds P, and
-    with it Phi(P) and the maximal subgroups, in the caches: neither the
-    normalizer ascent nor the Frattini frame runs again."""
+    with it Phi(P) and the maximal subgroups, in G's cache: neither the
+    normalizer ascent nor the Frattini frame runs again, and P never
+    builds a table of its own."""
     builds = []
     ascent, frame = structure._sylow_by_ascent, structure._p_group_frame
 
@@ -148,13 +148,14 @@ def test_repeated_check_rebuilds_no_sylow_subgroup(monkeypatch):
         builds.append(("sylow", p))
         return ascent(G, p, target)
 
-    def counted_frame(P):
-        if "pframe" not in P.cache:
+    def counted_frame(P, G):
+        if ("pframe", P.generators) not in G.cache:
             builds.append(("pframe", P.order()))
-        return frame(P)
+        return frame(P, G)
 
     monkeypatch.setattr(structure, "_sylow_by_ascent", counted_ascent)
     monkeypatch.setattr(structure, "_p_group_frame", counted_frame)
+    monkeypatch.setattr(theorems, "_p_group_frame", counted_frame)
     text = "name: s\ndegree: 4\ngen: (1 2 3 4)\ngen: (1 2)\n"
     for p in (2, 3):
         start = len(builds)
@@ -164,6 +165,7 @@ def test_repeated_check_rebuilds_no_sylow_subgroup(monkeypatch):
         for mode, record in zip(HypothesisMode, want):
             assert _plain(verify_main(_group(text), p, mode)) == record
         assert builds[start:] == [], p
+        assert sylow_subgroup(_group(text), p)._table is None
     # each Sylow subgroup was built once, by whichever check needed it first
     assert sorted(b for b in builds if b[0] == "sylow") == [("sylow", 2), ("sylow", 3)]
 

@@ -243,26 +243,44 @@ def test_maximal_subgroups_are_maximal(name):
     assert frozenset(frattini_p_group(P).elements()) == naive.frattini(P.degree, E)
 
 
-def test_maximal_masks_are_the_maximal_subgroups_masks():
-    """The masks handed to the main check's predicates are G's masks of
-    the maximal subgroups, in ``_maximal_data`` order, for every Sylow
-    subgroup of corpus 60."""
+def test_parent_table_frame_matches_the_standalone_frame():
+    """For every Sylow subgroup of corpus 60, and for Srinivasan's first
+    Sylow subgroup by mask, Phi(P) and the maximal subgroups built on G's
+    table have the generators and elements that P's own table gives them,
+    and the masks handed to the checks' predicates are G's masks of the
+    maximal subgroups, in ``_maximal_data`` order."""
     for ng in builtin_corpus(60):
         G = ng.group
         for p in structure.primes_of(G):
-            P = sylow_subgroup(G, p)
-            maximals = _maximal_data(P)[1]
-            assert _maximal_masks(G, P) == [G.mask_of(M) for M in maximals], ng.name
+            shared = sylow_subgroup(G, p)
+            first = G.subgroup_from_mask(all_sylow_subgroups(G, p).masks[0])
+            for P in (shared, first):
+                _, phi, basis, d = structure._p_group_frame(P, G)
+                alone = frattini_p_group(P)
+                assert phi.generators == alone.generators, ng.name
+                assert phi.same_elements(alone), ng.name
+                assert structure._p_group_frame(P, P)[2:] == (basis, d), ng.name
+                maximals = _maximal_data(P, G)[1]
+                alone = maximal_subgroups_of_p_group(P)
+                assert [M.generators for M in maximals] == [
+                    M.generators for M in alone
+                ], ng.name
+                assert all(M.same_elements(A) for M, A in zip(maximals, alone))
+                assert _maximal_masks(P, G) == [G.mask_of(M) for M in maximals]
 
 
-def test_cyclic_p_group_has_phi_as_its_maximal_subgroup(monkeypatch):
-    """d = 1: the one maximal subgroup is Phi(P), with no coordinates."""
-    monkeypatch.setattr(structure, "_frattini_coordinates", None)
-    for P in (cyclic(27), cyclic(5), sylow_subgroup(dihedral(18), 3)):
-        functionals, maximals = _maximal_data(P)
+def test_cyclic_p_group_has_phi_as_its_maximal_subgroup():
+    """d = 1: the one maximal subgroup is Phi(P) itself, with no kernel
+    rows; its mask is Phi(P)'s mask over the table's group."""
+    D18 = dihedral(18)
+    for P, G in ((cyclic(27), None), (cyclic(5), None), (sylow_subgroup(D18, 3), D18)):
+        G = G or P
+        functionals, maximals, masks = _maximal_data(P, G)
         assert functionals == [(1,)] and maximals == [frattini_p_group(P)]
-        assert maximals[0] is structure._p_group_frame(P)[1]
+        assert masks is None
+        assert maximals[0] is structure._p_group_frame(P, G)[1]
         assert maximals[0].order() == P.order() // structure.p_group_prime(P)
+        assert _maximal_masks(P, G) == [G.mask_of(maximals[0])]
 
 
 def test_smallest_generator_number(d8):

@@ -20,7 +20,12 @@ from grouplab.runner import (
     run_corpus,
 )
 from grouplab.solubility import chief_series
-from grouplab.structure import md_families, primes_of, sylow_subgroup
+from grouplab.structure import (
+    all_sylow_subgroups,
+    md_families,
+    primes_of,
+    sylow_subgroup,
+)
 from grouplab.theorems import (
     HypothesisMode,
     VerificationRecord,
@@ -182,6 +187,8 @@ def test_expand_checks():
     assert expand_checks(["corollaries", "main"])[-1] == "main"
     with pytest.raises(ValueError):
         expand_checks(["bogus"])
+    with pytest.raises(ValueError):
+        expand_checks([])
 
 
 def test_run_corpus_main_small():
@@ -202,6 +209,25 @@ def test_run_corpus_drops_each_groups_caches():
     before = run_corpus(corpus, checks=["lemmas"]).render("text")
     assert all(ng.group.cache == {} for ng in corpus)
     assert run_corpus(corpus, checks=["lemmas"]).render("text") == before
+
+
+def test_main_corollaries_and_srinivasan_build_one_table_per_group(monkeypatch):
+    """The Sylow subgroups' Frattini frames and maximal subgroups run on
+    G's table, so over corpus 60 each group builds one dense table, its
+    own, and no other group builds one."""
+    built = []
+    table = Group.table
+
+    def counted(self):
+        if self._table is None:
+            built.append(self)
+        return table(self)
+
+    monkeypatch.setattr(Group, "table", counted)
+    corpus = builtin_corpus(60)
+    report = run_corpus(corpus, checks=["main", "corollaries", "srinivasan"])
+    assert report.failed == 0 and report.records
+    assert sorted(map(id, built)) == sorted(id(ng.group) for ng in corpus)
 
 
 def test_run_corpus_empty():
@@ -396,18 +422,20 @@ def test_warm_corollaries_build_no_group(monkeypatch):
 
 def test_srinivasan_reads_one_sylow_subgroup_per_prime(monkeypatch):
     """S3 has three Sylow 2-subgroups and one Sylow 3-subgroup; the
-    hypothesis is decided on the first of each, and ``checked`` still
-    counts the maximal subgroups of all four."""
+    hypothesis is decided on the first of each in mask order, on S3's
+    table, and ``checked`` still counts the maximal subgroups of all four."""
+    G = named_group("S3").group
     calls = []
     maximal_data = theorems._maximal_data
 
-    def counted(P):
-        calls.append(P.order())
-        return maximal_data(P)
+    def counted(P, H):
+        assert H is G
+        calls.append(G.mask_of(P))
+        return maximal_data(P, H)
 
     monkeypatch.setattr(theorems, "_maximal_data", counted)
-    r = verify_srinivasan(named_group("S3").group, "S3")
-    assert sorted(calls) == [2, 3]
+    r = verify_srinivasan(G, "S3")
+    assert calls == [all_sylow_subgroups(G, p).masks[0] for p in (2, 3)]
     assert r.hypothesis and r.witnesses["checked"] == 4
 
 
