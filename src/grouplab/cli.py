@@ -40,12 +40,7 @@ from .solubility import (
     is_soluble,
     is_supersoluble,
 )
-from .structure import (
-    all_sylow_subgroups,
-    p_part,
-    primes_of,
-    smallest_generator_number,
-)
+from .structure import _p_group_frame, all_sylow_subgroups, p_part, primes_of
 from .theorems import HypothesisMode, verify_main
 
 
@@ -78,7 +73,7 @@ def _cmd_info(args) -> int:
         if enumerable:  # finding a Sylow subgroup enumerates G
             system = all_sylow_subgroups(G, p)
             count = system.count
-            d = smallest_generator_number(system.representative)
+            d = _p_group_frame(system.representative, G)[3]
         print(f"sylow p={p}: order {p_part(G.order(), p)}, count {count}, d_p {d}")
     if enumerable:
         print(f"soluble: {is_soluble(G)}")

@@ -17,12 +17,13 @@ subgroups of P), which for a Sylow subgroup P of G runs on G's table.
 Element data are NumPy arrays with one input, the element matrix (one row
 of images per element, rows in canonical order).  A group derived from an
 enumerated one is given its matrix and builds no stabilizer chain: a
-subgroup takes its parent's rows, G/N is read off G's coset table.  Other
-groups enumerate theirs as the products of the stabilizer-chain
-transversals.  :class:`Permutation` objects are made from rows only at the
-API boundary.  An element is fixed by its images of a base, so the element
-index looks elements up by those images, and the multiplication table and
-the inverses are built by one vectorised lookup per block of products.
+subgroup takes its parent's rows, G/N is read off G's coset table, its
+own table included.  Other groups enumerate theirs as the products of the
+stabilizer-chain transversals.  :class:`Permutation` objects are made from
+rows only at the API boundary.  An element is fixed by its images of a
+base, so the element index looks elements up by those images, and the
+multiplication table and the inverses are built by one vectorised lookup
+per block of products.
 
 Element sets of subgroups are manipulated as bitmasks over the parent
 group's canonical element index (elements sorted lexicographically by image
@@ -767,8 +768,13 @@ def quotient(G: Group, N: Group | int) -> CosetMap:
 
     Cosets are numbered by their least element.  G/N's element matrix is
     read off G's table: coset Nr sends Nc to Ncr, so its row starts with its
-    own number and the rows need no sort.  Raises NotNormalError when N is
-    not normal in G (the action kernel would exceed N).
+    own number and the rows need no sort.  G/N is handed its table too, so
+    it builds no element index unless a ``Permutation`` is looked up in it:
+    it acts regularly and coset 0 is N, so e_i * e_j, which sends coset 0
+    to e_j[i], is element e_j[i], and the table is the element matrix
+    transposed; the inverse of e_i is the column of 0 in row i.  Raises
+    NotNormalError when N is not normal in G (the action kernel would
+    exceed N).
     """
     nidx = G.indices_of(N)
     inside = np.zeros(G.order(), dtype=bool)
@@ -782,4 +788,6 @@ def quotient(G: Group, N: Group | int) -> CosetMap:
     gen_rows = emat[coset_of[[G.element_index(g) for g in G.generators]]]
     qgens = [Permutation(tuple(row)) for row in gen_rows.tolist()]
     Q = Group(max(len(reps), 1), qgens, G.enum_cap, _known_emat=emat)
+    Q._table = np.ascontiguousarray(emat.T)
+    Q._inv_idx = Q._table.argmin(axis=1)
     return CosetMap(source=G, quotient=Q, coset_of=coset_of, reps=reps)

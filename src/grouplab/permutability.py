@@ -18,9 +18,17 @@ inverses iff HL = LH).
 Callers choose the batch.  The lemma suites pass G's whole subgroup
 lattice and read the predicates as vectors over it (one vector per L,
 cached); the quotient parts of the lemmas pass the images of many
-subgroups in G/N as one block; single predicate calls pass a batch of
-one.  :func:`product_set` builds the two product sets of one pair, with
-its own assertions, for witness text and the public API.
+subgroups in G/N as one block, on the table that ``groups.quotient``
+hands G/N; single predicate calls pass a batch of one.
+
+A normal Sylow subgroup Q permutes with every H (HQ = QH when Q is
+normal), so the restriction parts of the lemma suites and the failure
+witness of the main check skip a prime whose Sylow subgroup is the only
+one (``structure._normal_sylow_mask``).  The Sylow test here still sends
+every Sylow subgroup through the kernel and its cross-assertions.
+
+:func:`product_set` builds the two product sets of one pair, with its own
+assertions, for witness text and the public API.
 
 A subgroup argument is either a :class:`Group` or its bitmask over the
 parent's element index (``G.mask_of(H)``), so no subgroup ``Group`` is

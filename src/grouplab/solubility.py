@@ -25,9 +25,9 @@ from .groups import (
     _cached,
     _closure_indices,
     _mask_rows,
+    _on_table,
     _row_masks,
     indices_from_mask,
-    is_normal,
     mask_from_indices,
     normal_closure,
     subgroup_generated,
@@ -35,10 +35,10 @@ from .groups import (
 from .structure import (
     _element_orders,
     _normal_atom_masks,
+    _normal_sylow_mask,
     is_prime,
     p_part,
     primes_of,
-    sylow_subgroup,
 )
 
 
@@ -148,9 +148,13 @@ def derived_series_masks(G: Group, start: int | None = None) -> list[int]:
 
 
 def is_soluble(G: Group) -> bool:
-    """The derived series reaches the trivial group."""
+    """The derived series reaches the trivial group: on G's table
+    (``derived_series_masks``) on the table path (``groups._on_table``),
+    else by normal closures of commutators of generators."""
 
     def build():
+        if _on_table(G):
+            return derived_series_masks(G)[-1] == 1
         cur = G
         while cur.order() > 1:
             nxt = derived_subgroup(cur)
@@ -163,10 +167,11 @@ def is_soluble(G: Group) -> bool:
 
 
 def is_nilpotent(G: Group) -> bool:
-    """Every Sylow subgroup is normal."""
+    """Every Sylow subgroup is normal (``_normal_sylow_mask``), so a
+    p-group is nilpotent without a look at its elements."""
 
     def build():
-        return all(is_normal(G, sylow_subgroup(G, p)) for p in primes_of(G))
+        return all(_normal_sylow_mask(G, p) for p in primes_of(G))
 
     return _cached(G, "nilpotent", build)
 

@@ -125,6 +125,27 @@ def _element_orders(G: Group) -> np.ndarray:
     return _cached(G, "orders", build)
 
 
+def _normal_sylow_mask(G: Group, p: int) -> int:
+    """Mask of G's Sylow p-subgroup when it is normal, else 0.
+
+    A Sylow p-subgroup is normal iff it is the only one, iff it holds every
+    p-element, iff G's p-elements (those whose order divides |G|_p) number
+    exactly |G|_p; they are read from ``_element_orders``.  G's cache keeps
+    the answer under ``("normal sylow", p)``, 0 included.  A p-group is its
+    own Sylow p-subgroup, found without its elements.
+    """
+    n = G.order()
+    target = p_part(n, p)
+    if target == n:
+        return (1 << n) - 1
+
+    def build():
+        p_elements = np.flatnonzero(target % _element_orders(G) == 0)
+        return mask_from_indices(p_elements, n) if len(p_elements) == target else 0
+
+    return _cached(G, ("normal sylow", p), build)
+
+
 def sylow_subgroup(G: Group, p: int) -> Group:
     """A Sylow p-subgroup, by normalizer ascent on G's table from the p-part
     of the first element of order divisible by p, adding the first
@@ -738,8 +759,11 @@ def o_p(G: Group, p: int) -> Group:
 
 
 def _o_p_mask(G: Group, p: int) -> int:
-    """Mask of O_p(G) over G's index."""
-    return reduce(operator.and_, all_sylow_subgroups(G, p).masks)
+    """Mask of O_p(G) over G's index: the Sylow p-subgroup itself when it
+    is normal, else the intersection of all of them."""
+    return _normal_sylow_mask(G, p) or reduce(
+        operator.and_, all_sylow_subgroups(G, p).masks
+    )
 
 
 def o_p_prime(G: Group, p: int) -> Group:

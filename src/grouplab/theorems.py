@@ -71,6 +71,7 @@ from .structure import (
     _complement_mask,
     _maximal_data,
     _maximal_masks,
+    _normal_sylow_mask,
     _o_p_mask,
     _p_group_frame,
     _p_residual_mask,
@@ -138,15 +139,16 @@ def _ssp_failure(G: Group, mask: int) -> dict:
     """First Sylow subgroup of coprime order that the subgroup H with mask
     ``mask`` fails to permute with.
 
-    The Sylow q-subgroups are the masks of G's shared Sylow systems
-    (:func:`all_sylow_subgroups`; for a q-group G the one mask is G's own,
-    kept nowhere).  HQ = QH is decided on each mask against H's one row,
-    and only the first failing Q becomes a ``Group``, for its generator
-    text; its product size comes from one ``product_set`` on masks.
+    A prime whose Sylow subgroup is normal (G a q-group included) is
+    skipped: it never fails.  For the others the Sylow q-subgroups are the
+    masks of G's shared Sylow systems (:func:`all_sylow_subgroups`).  HQ =
+    QH is decided on each mask against H's one row, and only the first
+    failing Q becomes a ``Group``, for its generator text; its product size
+    comes from one ``product_set`` on masks.
     """
     rows = _mask_rows([mask], G.order())
     for q in primes_of(G):
-        if mask.bit_count() % q == 0:
+        if mask.bit_count() % q == 0 or _normal_sylow_mask(G, q):
             continue
         for Q in all_sylow_subgroups(G, q).masks:
             if not permutes_with(G, rows, Q)[0]:
@@ -367,12 +369,13 @@ def _permutes_with_sylows(
     (the Sylow q-subgroups of an overgroup K), for each prime q (only those
     not dividing its order when ``coprime_only``): its s-permutability or
     s-semipermutability in K, read from G's lattice vectors at its row,
-    since HL is the same set in K as in G."""
+    since HL is the same set in K as in G.  A prime with a single Sylow
+    subgroup in K is skipped: that subgroup is normal in K, and H <= K."""
     h_order = lattice_masks(G, lattice_cap)[i].bit_count()
     return all(
         _lattice_permutes(G, L, lattice_cap)[i]
         for q, masks in sylows.items()
-        if not (coprime_only and h_order % q == 0)
+        if len(masks) > 1 and not (coprime_only and h_order % q == 0)
         for L in masks
     )
 

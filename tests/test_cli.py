@@ -2,6 +2,7 @@ import json
 
 from grouplab.cli import main
 from grouplab.corpus import named_group, write_group_file
+from grouplab.groups import Group
 
 
 def run_cli(capsys, *argv):
@@ -16,6 +17,37 @@ def test_info_builtin(capsys):
     assert "order: 24" in out
     assert "sylow p=2: order 8, count 3, d_p 2" in out
     assert "supersoluble: False" in out
+
+
+def test_info_builds_one_table(capsys, monkeypatch):
+    """The Sylow generator numbers are read on G's table, and so is the
+    derived series: S4's report builds S4's table and no other."""
+    built = []
+    real = Group.table
+
+    def counted(self):
+        if self._table is None:
+            built.append(self.order())
+        return real(self)
+
+    monkeypatch.setattr(Group, "table", counted)
+    code, out, _ = run_cli(capsys, "info", "builtin:S4")
+    assert code == 0
+    assert out == (
+        "name: S4\n"
+        "provenance: builtin\n"
+        "order: 24\n"
+        "degree: 4\n"
+        "primes: 2 3\n"
+        "sylow p=2: order 8, count 3, d_p 2\n"
+        "sylow p=3: order 3, count 4, d_p 1\n"
+        "soluble: True\n"
+        "nilpotent: False\n"
+        "supersoluble: False\n"
+        "p=2: p-soluble True, p-supersoluble False, p-nilpotent False\n"
+        "p=3: p-soluble True, p-supersoluble True, p-nilpotent False\n"
+    )
+    assert built == [24]
 
 
 def test_info_above_enum_cap_skips_what_needs_elements(capsys):

@@ -273,6 +273,21 @@ def test_quotient_is_read_off_the_coset_table():
             assert Q.generators == Group(Q.degree, coset_perms).generators
 
 
+def test_quotient_is_handed_its_table():
+    """G/N's table is its element matrix transposed and its inverses the
+    column of the identity in each row: both equal those of the group that
+    G/N's generators build afresh, for every normal N (1 and G included),
+    and G/N builds no element index for them."""
+    for ng in builtin_corpus(32):
+        G = ng.group
+        for nm in normal_subgroup_masks(G):
+            Q = quotient(G, nm).quotient
+            fresh = Group(Q.degree, Q.generators)
+            assert np.array_equal(Q.table(), fresh.table()), ng.name
+            assert np.array_equal(Q.inverse_indices(), fresh.inverse_indices())
+            assert Q._keys is None
+
+
 def test_quotient_mask_requires_normal(s4):
     H = subgroup_generated(s4, [P(4, "(1 2)")])
     with pytest.raises(NotNormalError):

@@ -2,17 +2,26 @@
 import pytest
 
 import naive
-from grouplab.corpus import builtin_corpus
-from grouplab.errors import LatticeCapError
+from grouplab import permutability
+from grouplab.corpus import builtin_corpus, symmetric
+from grouplab.errors import DEFAULT_LATTICE_CAP, LatticeCapError
 from grouplab.groups import is_normal, normalizer, subgroup_generated
 from grouplab.permutability import (
+    _lattice_predicate,
     is_s_permutable,
     is_s_semipermutable,
     is_semipermutable,
     product_set,
 )
 from grouplab.perms import Permutation
-from grouplab.structure import all_subgroups, p_part, p_residual, primes_of, o_p
+from grouplab.structure import (
+    all_subgroups,
+    all_sylow_subgroups,
+    o_p,
+    p_part,
+    p_residual,
+    primes_of,
+)
 
 P = Permutation.parse
 
@@ -174,3 +183,24 @@ def test_cache_consistency(s4):
     H2 = subgroup_generated(fresh, [P(4, "(1 2 3 4)")])
     assert is_s_permutable(fresh, H2) == warm
     assert is_s_permutable(s4, H) == warm
+
+
+
+def test_lattice_predicate_sends_every_sylow_subgroup_through_the_kernel(
+    monkeypatch,
+):
+    """S4's lattice vectors come from one kernel call for each of its 3
+    Sylow 2-subgroups and 4 Sylow 3-subgroups, so the cross-assertions run
+    on all of them."""
+    calls = []
+    real = permutability.permutes_with
+
+    def counted(G, rows, L):
+        calls.append(G.mask_of(L))
+        return real(G, rows, L)
+
+    monkeypatch.setattr(permutability, "permutes_with", counted)
+    G = symmetric(4)
+    _lattice_predicate(G, False, DEFAULT_LATTICE_CAP)
+    sylows = all_sylow_subgroups(G, 2).masks + all_sylow_subgroups(G, 3).masks
+    assert len(sylows) == 7 and sorted(calls) == sorted(sylows)

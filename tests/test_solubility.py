@@ -3,6 +3,7 @@ from grouplab.corpus import (
     builtin_corpus,
     cyclic,
     direct_product,
+    elementary_abelian,
     quaternion8,
     symmetric,
 )
@@ -19,7 +20,13 @@ from grouplab.solubility import (
     is_soluble,
     is_supersoluble,
 )
-from grouplab.structure import o_p_prime, p_part, primes_of, sylow_subgroup
+from grouplab.structure import (
+    all_sylow_subgroups,
+    o_p_prime,
+    p_part,
+    primes_of,
+    sylow_subgroup,
+)
 
 
 def test_chief_series_s4(s4):
@@ -79,6 +86,18 @@ def test_nilpotent(q8):
     assert is_nilpotent(q8)
     assert is_nilpotent(direct_product(quaternion8(), cyclic(3)))
     assert not is_nilpotent(symmetric(3))
+
+
+def test_nilpotent_iff_every_sylow_subgroup_is_alone():
+    """is_nilpotent reads the normal Sylow masks; it agrees with the Sylow
+    counts, and a p-group above the enumeration cap is nilpotent without a
+    table."""
+    for ng in builtin_corpus(64):
+        G = ng.group
+        alone = all(all_sylow_subgroups(G, p).count == 1 for p in primes_of(G))
+        assert is_nilpotent(G) == alone, ng.name
+    E = elementary_abelian(7, 7)
+    assert is_nilpotent(E) and E._table is None
 
 
 def test_supersoluble(s4, q8):

@@ -9,11 +9,12 @@ from grouplab.corpus import (
     dihedral,
     direct_product,
     elementary_abelian,
+    named_group,
     quaternion8,
     symmetric,
 )
 from grouplab.errors import LatticeCapError, NotAPGroupError
-from grouplab.groups import is_normal, normalizer, subgroup_generated
+from grouplab.groups import is_normal, normalizer, quotient, subgroup_generated
 from grouplab.perms import Permutation
 from grouplab import structure
 from grouplab.structure import (
@@ -28,11 +29,13 @@ from grouplab.structure import (
     maximal_subgroups_of_p_group,
     md_families,
     minimal_normal_subgroups,
+    normal_subgroup_masks,
     normal_subgroups,
     o_p,
     o_p_prime,
     p_part,
     p_residual,
+    primes_of,
     smallest_generator_number,
     sylow_subgroup,
 )
@@ -52,6 +55,21 @@ def test_sylow_counts(s4, a4):
     assert all_sylow_subgroups(s4, 3).count == 4
     assert all_sylow_subgroups(s4, 2).count == 3
     assert all_sylow_subgroups(a4, 2).count == 1
+
+
+def test_normal_sylow_mask_is_the_single_sylow_mask():
+    """The p-elements number |G|_p exactly when the Sylow p-subgroup is the
+    only one, and then they are its mask: over the corpus and over every
+    G/N of four groups with several normal subgroups."""
+    cases = [ng.group for ng in builtin_corpus(64)]
+    for name in ("S4", "D12", "S3xS3", "C2xA4"):
+        G = named_group(name).group
+        cases += [quotient(G, nm).quotient for nm in normal_subgroup_masks(G)]
+    for G in cases:
+        for p in primes_of(G):
+            masks = all_sylow_subgroups(G, p).masks
+            expected = masks[0] if len(masks) == 1 else 0
+            assert structure._normal_sylow_mask(G, p) == expected
 
 
 def test_sylow_subgroup_is_shared():

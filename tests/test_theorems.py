@@ -11,6 +11,7 @@ from grouplab.corpus import (
     named_group,
     write_group_file,
 )
+from grouplab.errors import DEFAULT_LATTICE_CAP
 from grouplab.groups import CosetMap, Group
 from grouplab.perms import Permutation
 from grouplab.permutability import is_s_semipermutable
@@ -22,6 +23,7 @@ from grouplab.runner import (
 from grouplab.solubility import chief_series
 from grouplab.structure import (
     all_sylow_subgroups,
+    lattice_masks,
     md_families,
     primes_of,
     sylow_subgroup,
@@ -497,3 +499,44 @@ def test_main_check_caches_no_error():
             with pytest.raises(ValueError):
                 verify_main(G, p)
     assert not [k for k in G.cache if isinstance(k, tuple) and k[0] == "main"]
+
+
+def test_restriction_parts_skip_a_sylow_subgroup_alone_in_k(monkeypatch):
+    """A Sylow subgroup alone in the overgroup K is normal in K, so every
+    H <= K permutes with it and no lattice vector is read for it: a
+    nilpotent group reads none, and on S4 and S3xS3 every (H, K) gets the
+    answer that reading all of K's Sylow subgroups gives."""
+    cap = DEFAULT_LATTICE_CAP
+    read = []
+    real = theorems._lattice_permutes
+
+    def counted(G, L, lattice_cap):
+        read.append(L)
+        return real(G, L, lattice_cap)
+
+    monkeypatch.setattr(theorems, "_lattice_permutes", counted)
+    G = named_group("D8xC3").group
+    lat = lattice_masks(G)
+    for coprime_only in (False, True):
+        theorems._restriction_part(G, cap, lat, coprime_only)
+    assert read == []
+    for name in ("S4", "S3xS3"):
+        G = named_group(name).group
+        lat = lattice_masks(G)
+        for i, m in enumerate(lat):
+            for km in lat:
+                if km | m != km:
+                    continue
+                sylows = theorems._sylows_within(G, lat, km)
+                for coprime_only in (False, True):
+                    every = all(
+                        real(G, L, cap)[i]
+                        for q, masks in sylows.items()
+                        if not (coprime_only and m.bit_count() % q == 0)
+                        for L in masks
+                    )
+                    got = theorems._permutes_with_sylows(
+                        G, cap, i, coprime_only, sylows
+                    )
+                    assert got == every, (name, i, km)
+    assert read
