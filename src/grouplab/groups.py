@@ -686,15 +686,11 @@ def _normalizer_mask(G: Group, mask: int) -> int:
     x^-1 H x ⊆ H (conjugation is injective) runs on blocks of x, each
     gathering at most 2^18 conjugates so memory stays bounded.
 
-    Results are kept in ``G.cache["normalizers"]``, mask to mask, so the
+    G's cache keeps each result under ``("normalizer", mask)``, so the
     normalizers that building the subgroup lattice computes for every
     member serve later callers too.
     """
-    known = G.cache.setdefault("normalizers", {})
-    found = known.get(mask)
-    if found is None:
-        found = known[mask] = _scan_normalizer(G, mask)
-    return found
+    return _cached(G, ("normalizer", mask), lambda: _scan_normalizer(G, mask))
 
 
 def _scan_normalizer(G: Group, mask: int) -> int:

@@ -15,11 +15,11 @@ HL = LH agrees with an independent test that HL is closed under inverses,
 which does not use the right labels ((HL)^-1 = LH, so HL is closed under
 inverses iff HL = LH).
 
-Callers choose the batch.  The lemma suites pass G's whole subgroup
-lattice and read the predicates as vectors over it (one vector per L,
-cached); the quotient parts of the lemmas pass the images of many
-subgroups in G/N as one block, on the table that ``groups.quotient``
-hands G/N; single predicate calls pass a batch of one.
+Callers choose the batch.  The lemma suites pass the rows of G's lattice
+record (``structure._lattice``) and read the predicates as vectors over
+it (one vector per L, cached); the quotient parts of the lemmas pass the
+images of many subgroups in G/N as one block, on the table that
+``groups.quotient`` hands G/N; single predicate calls pass a batch of one.
 
 A normal Sylow subgroup Q permutes with every H (HQ = QH when Q is
 normal), so the restriction parts of the lemma suites and the failure
@@ -45,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_LATTICE_CAP, LatticeCapError
+from .errors import DEFAULT_LATTICE_CAP
 from .groups import ElementSet, Group, _cached, _mask_rows, mask_from_indices
-from .structure import all_sylow_subgroups, lattice_masks, primes_of
+from .structure import _Lattice, _lattice, all_sylow_subgroups, primes_of
 
 _BLOCK = 1 << 18
 """Most cells one gather of the kernel touches, so memory stays bounded."""
@@ -182,31 +182,21 @@ def _block_predicate(G: Group, rows: np.ndarray, coprime_only: bool) -> np.ndarr
 # -- vectors over the subgroup lattice --------------------------------------------
 
 
-def _lattice_rows(G: Group, lattice_cap: int) -> np.ndarray:
-    """G's subgroup lattice as a bool block, rows in ``lattice_masks``
-    order."""
-    lat = lattice_masks(G, lattice_cap)
-    return _cached(G, "lattice rows", lambda: _mask_rows(lat, G.order()))
+def _lattice_permutes(G: Group, L: int, lat: _Lattice) -> np.ndarray:
+    """HL = LH for every member H of G's lattice record ``lat``, cached per
+    L's mask."""
+    return _cached(G, ("lattice permutes", L), lambda: permutes_with(G, lat.rows, L))
 
 
-def _lattice_permutes(G: Group, L: int, lattice_cap: int) -> np.ndarray:
-    """HL = LH for every member H of G's lattice, cached per L's mask."""
-    return _cached(
-        G,
-        ("lattice permutes", L),
-        lambda: permutes_with(G, _lattice_rows(G, lattice_cap), L),
-    )
-
-
-def _lattice_predicate(G: Group, coprime_only: bool, lattice_cap: int) -> np.ndarray:
+def _lattice_predicate(G: Group, coprime_only: bool, lat: _Lattice) -> np.ndarray:
     """s-permutability (s-semipermutability when ``coprime_only``) of every
-    member of G's lattice, from the cached vectors of G's Sylow
-    subgroups."""
+    member of G's lattice record ``lat``, from the cached vectors of G's
+    Sylow subgroups."""
 
     def build():
-        orders = _lattice_rows(G, lattice_cap).sum(axis=1)
+        orders = lat.rows.sum(axis=1)
         return _sylow_vector(
-            G, orders, coprime_only, lambda Q: _lattice_permutes(G, Q, lattice_cap)
+            G, orders, coprime_only, lambda Q: _lattice_permutes(G, Q, lat)
         )
 
     return _cached(G, ("lattice predicate", coprime_only), build)
@@ -244,25 +234,14 @@ def is_semipermutable(
     """H permutes with every subgroup of coprime order.
 
     Needs the full subgroup lattice; above the lattice cap this raises
-    rather than approximating (even when a cached value exists, so cap
-    behavior does not depend on call history).  HK = KH is symmetric, so
-    the subgroups K of coprime order are the batch and H is the kernel's L.
+    rather than approximating (the cap is checked before any cached value
+    is read).  HK = KH is symmetric, so the subgroups K of coprime order
+    are the batch and H is the kernel's L.
     """
-    if G.order() > lattice_cap:
-        raise LatticeCapError(
-            f"group of order {G.order()} exceeds the subgroup-lattice cap "
-            f"{lattice_cap}",
-            cap=lattice_cap,
-            size=G.order(),
-        )
+    lat = _lattice(G, lattice_cap)
 
     def compute(mask: int) -> bool:
-        h = mask.bit_count()
-        coprime = [
-            K
-            for K in lattice_masks(G, lattice_cap)
-            if math.gcd(h, K.bit_count()) == 1
-        ]
-        return bool(permutes_with(G, _mask_rows(coprime, G.order()), mask).all())
+        coprime = [math.gcd(mask.bit_count(), K.bit_count()) == 1 for K in lat.masks]
+        return bool(permutes_with(G, lat.rows[coprime], mask).all())
 
     return _cached_predicate(G, "semiperm", H, compute)

@@ -120,31 +120,30 @@ def derived_series_masks(G: Group, start: int | None = None) -> list[int]:
     [H, H] is the closure of the commutators of H's elements; they are
     gathered for blocks of H's elements at a time, each block of at most
     2^18 commutators, so memory stays bounded.  G's cache keeps the masks
-    of each start.
+    of each start under ``("derived", start)``.
     """
     n = G.order()
     start = (1 << n) - 1 if start is None else start
-    known = G.cache.setdefault("derived_masks", {})
-    cached = known.get(start)
-    if cached is not None:
-        return cached
-    tbl = G.table()
-    inv = G.inverse_indices()
-    cur = indices_from_mask(start, n)
-    masks = [start]
-    while len(cur) > 1:
-        member = np.zeros(n, dtype=bool)
-        step = max(1, (1 << 18) // len(cur))
-        for lo in range(0, len(cur), step):
-            a = cur[lo : lo + step, None]
-            member[tbl[tbl[inv[a], inv[cur]], tbl[a, cur]]] = True
-        nxt = _closure_indices(tbl, np.flatnonzero(member))
-        if len(nxt) == len(cur):
-            break
-        cur = nxt
-        masks.append(mask_from_indices(cur, n))
-    known[start] = masks
-    return masks
+
+    def build():
+        tbl = G.table()
+        inv = G.inverse_indices()
+        cur = indices_from_mask(start, n)
+        masks = [start]
+        while len(cur) > 1:
+            member = np.zeros(n, dtype=bool)
+            step = max(1, (1 << 18) // len(cur))
+            for lo in range(0, len(cur), step):
+                a = cur[lo : lo + step, None]
+                member[tbl[tbl[inv[a], inv[cur]], tbl[a, cur]]] = True
+            nxt = _closure_indices(tbl, np.flatnonzero(member))
+            if len(nxt) == len(cur):
+                break
+            cur = nxt
+            masks.append(mask_from_indices(cur, n))
+        return masks
+
+    return _cached(G, ("derived", start), build)
 
 
 def is_soluble(G: Group) -> bool:

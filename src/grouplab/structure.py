@@ -5,7 +5,8 @@ they scale past the subgroup-lattice cap; the full lattice (cyclic
 extension from the soluble residual's lattice) and normal subgroups (join
 closure of conjugacy-class closures) are independent constructions so that
 chief series remain available for groups whose lattice would be too
-expensive.
+expensive.  The lemma suites read the lattice through one record per
+group, ``_lattice``: rows, members by order, and the normal members.
 
 Maximal subgroups of a p-group P are the preimages of the hyperplanes of
 the elementary abelian quotient P/Phi(P); the generator-number d satisfies
@@ -31,7 +32,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from typing import Iterator
 
 import numpy as np
@@ -48,6 +49,7 @@ from .groups import (
     _closure_indices,
     _normal_closure_indices,
     _normalizer_mask,
+    _mask_rows,
     _on_table,
     _require_subgroup,
     _row_masks,
@@ -294,7 +296,8 @@ def lattice_masks(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[int]
     (p-th powers precomputed for every prime of |G|) gives K<g>, the union
     of the cosets Kg^i for i < p, built once, from the least coset minimum
     it contains.  When N_G(K) <= R, every such K<g> is already in R's
-    lattice.  The normalizers stay in G's cache (``_normalizer_mask``).
+    lattice.  Each member's normalizer stays in G's cache under
+    ``("normalizer", mask)``, where ``_lattice`` reads the normal ones.
     """
     n = G.order()
     if n > lattice_cap:
@@ -351,6 +354,37 @@ def lattice_masks(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[int]
         return sorted(subs, key=lambda m: (m.bit_count(), m))
 
     return _cached(G, "lattice_masks", build)
+
+
+@dataclass
+class _Lattice:
+    """G's lattice: the members in ``lattice_masks`` order, the same masks
+    as one bool block, the row of each mask, the members of each order, and
+    the normal members in (order, mask) order."""
+
+    masks: list[int]
+    rows: np.ndarray
+    row: dict[int, int]
+    of_order: dict[int, list[int]]
+    normal: list[int]
+
+
+def _lattice(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> _Lattice:
+    """G's lattice record, kept in G's cache; ``lattice_masks`` checks the
+    cap on every call.  The normal members are those whose normalizer,
+    cached while the lattice was built, is G: no join closure is run."""
+    masks = lattice_masks(G, lattice_cap)
+
+    def build():
+        return _Lattice(
+            masks,
+            _mask_rows(masks, G.order()),
+            {m: i for i, m in enumerate(masks)},
+            {k: list(ms) for k, ms in groupby(masks, key=int.bit_count)},
+            [m for m in masks if _normalizer_mask(G, m).bit_count() == G.order()],
+        )
+
+    return _cached(G, "lattice", build)
 
 
 def all_subgroups(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[Group]:
@@ -443,7 +477,8 @@ def _normal_atom_masks(G: Group) -> list[int]:
 
 def normal_subgroup_masks(G: Group) -> list[int]:
     """Masks of all normal subgroups: join closure of the normal closures
-    of single conjugacy classes.  Independent of the full lattice.
+    of single conjugacy classes.  Independent of the full lattice; the
+    lemma suites read the same list from ``_lattice(G).normal``.
 
     A join of normal N and A is the product set NA, built one-sided; it
     must have exactly |N||A|/|N∩A| members."""
@@ -819,15 +854,15 @@ def is_complemented(
     """
     _require_subgroup(G, N)
     full = (1 << G.order()) - 1
-    km = _complement_mask(G, full, G.mask_of(N), lattice_cap)
+    km = _complement_mask(_lattice(G, lattice_cap), full, G.mask_of(N))
     return (False, None) if km is None else (True, G.subgroup_from_mask(km))
 
 
-def _complement_mask(G: Group, mm: int, nm: int, lattice_cap: int) -> int | None:
-    """Mask of the first member of G's lattice that complements N in M, for
+def _complement_mask(lat: _Lattice, mm: int, nm: int) -> int | None:
+    """Mask of the first member of the lattice that complements N in M, for
     N <= M given by masks: of order |M|/|N|, inside M, meeting N trivially."""
     target = mm.bit_count() // nm.bit_count()
-    for km in lattice_masks(G, lattice_cap):
-        if km.bit_count() == target and km | mm == mm and km & nm == 1:
+    for km in lat.of_order.get(target, ()):
+        if km | mm == mm and km & nm == 1:
             return km
     return None

@@ -13,8 +13,10 @@ that pass the permutability test, with no family enumeration:
 
 Both shortcuts are differential-tested against direct family enumeration.
 
-Lemma suites enumerate their quantified instances from the subgroup
-lattice.  Each part stops at a fixed deterministic instance budget and
+Lemma suites enumerate their quantified instances from G's lattice
+record (``structure._lattice``), whose normal members are the kernels N
+and whose members of one order hold the Sylow subgroups and complements
+sought.  Each part stops at a fixed deterministic instance budget and
 flags the record as sampled when it does; counts are always reported.
 Subgroups are the lattice's bitmasks over G's element index throughout,
 and every predicate, closure and core is computed on G's own table; G/N
@@ -52,7 +54,6 @@ from .permutability import (
     _block_predicate,
     _lattice_permutes,
     _lattice_predicate,
-    _lattice_rows,
     is_s_permutable,
     is_s_semipermutable,
     permutes_with,
@@ -69,6 +70,8 @@ from .solubility import (
 )
 from .structure import (
     _complement_mask,
+    _lattice,
+    _Lattice,
     _maximal_data,
     _maximal_masks,
     _normal_sylow_mask,
@@ -79,7 +82,6 @@ from .structure import (
     all_sylow_subgroups,
     is_prime,
     lattice_masks,
-    normal_subgroup_masks,
     p_part,
     prime_factors,
     primes_of,
@@ -300,15 +302,11 @@ def _part_record(
     )
 
 
-def _standalone(G: Group, mask: int) -> Group:
-    return _cached(G, ("standalone", mask), lambda: G.subgroup_from_mask(mask))
-
-
 def _detail(G: Group, subgroups: dict[str, int], **plain) -> Callable[[], dict]:
     """Thunk for an instance's detail: the named subgroup masks become
     generator text only when the thunk is called."""
     return lambda: {
-        **{k: _fmt_group(_standalone(G, m)) for k, m in subgroups.items()},
+        **{k: _fmt_group(G.subgroup_from_mask(m)) for k, m in subgroups.items()},
         **plain,
     }
 
@@ -336,26 +334,21 @@ def _images(G: Group, nm: int, rows: np.ndarray) -> tuple[Group, np.ndarray]:
     return Q, block
 
 
-def _lattice_index(G: Group, lattice_cap: int) -> dict[int, int]:
-    """The row of each member of G's lattice, by mask."""
-    lat = lattice_masks(G, lattice_cap)
-    return _cached(G, "lattice index", lambda: {m: i for i, m in enumerate(lat)})
-
-
 def _p_subgroup_prime(G: Group, mask: int) -> int | None:
     """p when the subgroup is a nontrivial p-group, else None."""
     n = mask.bit_count()
     return next((p for p in primes_of(G) if n > 1 and n == p_part(n, p)), None)
 
 
-def _sylows_within(G: Group, lat: list[int], km: int) -> dict[int, list[int]]:
+def _sylows_within(G: Group, lat: _Lattice, km: int) -> dict[int, list[int]]:
     """Masks of the Sylow subgroups of the subgroup K with mask ``km``, by
-    prime of |K|: the members L of G's lattice with L ⊆ K and |L| = |K|_q."""
+    prime of |K|: the members L of G's lattice record with |L| = |K|_q and
+    L ⊆ K, scanned among the members of that order only."""
 
     def build():
         k = km.bit_count()
         return {
-            q: [L for L in lat if L.bit_count() == p_part(k, q) and L | km == km]
+            q: [L for L in lat.of_order[p_part(k, q)] if L | km == km]
             for q in prime_factors(k)
         }
 
@@ -363,7 +356,7 @@ def _sylows_within(G: Group, lat: list[int], km: int) -> dict[int, list[int]]:
 
 
 def _permutes_with_sylows(
-    G: Group, lattice_cap: int, i: int, coprime_only: bool, sylows: dict
+    G: Group, lat: _Lattice, i: int, coprime_only: bool, sylows: dict
 ) -> bool:
     """Whether lattice member i permutes with every mask in ``sylows[q]``
     (the Sylow q-subgroups of an overgroup K), for each prime q (only those
@@ -371,9 +364,9 @@ def _permutes_with_sylows(
     s-semipermutability in K, read from G's lattice vectors at its row,
     since HL is the same set in K as in G.  A prime with a single Sylow
     subgroup in K is skipped: that subgroup is normal in K, and H <= K."""
-    h_order = lattice_masks(G, lattice_cap)[i].bit_count()
+    h_order = lat.masks[i].bit_count()
     return all(
-        _lattice_permutes(G, L, lattice_cap)[i]
+        _lattice_permutes(G, L, lat)[i]
         for q, masks in sylows.items()
         if len(masks) > 1 and not (coprime_only and h_order % q == 0)
         for L in masks
@@ -381,24 +374,22 @@ def _permutes_with_sylows(
 
 
 def _restriction_part(
-    G: Group, lattice_cap: int, masks: list[int], coprime_only: bool
+    G: Group, lat: _Lattice, masks: list[int], coprime_only: bool
 ) -> tuple[list, bool]:
     """Whether each H permutes with the Sylow subgroups of its first
     RESTRICTION_SAMPLES proper overgroups K (only those of coprime order
     when ``coprime_only``): the s-permutability or s-semipermutability of
     H in K, decided in G."""
-    lat = lattice_masks(G, lattice_cap)
-    row = _lattice_index(G, lattice_cap)
     inst, sampled = [], False
     for m in masks:
         if len(inst) >= PART_BUDGET:
             sampled = True
             break
         picked = 0
-        for km in lat:
+        for km in lat.masks:
             if km != m and km | m == km:
                 holds = _permutes_with_sylows(
-                    G, lattice_cap, row[m], coprime_only, _sylows_within(G, lat, km)
+                    G, lat, lat.row[m], coprime_only, _sylows_within(G, lat, km)
                 )
                 inst.append((holds, _detail(G, {"subgroup": m, "intermediate": km})))
                 picked += 1
@@ -413,11 +404,10 @@ def verify_lemma_2_1(
 ) -> list[VerificationRecord]:
     """The six closure properties of permuting-with-all-Sylows subgroups."""
     t0 = time.perf_counter()
-    lat = lattice_masks(G, lattice_cap)
-    row = _lattice_index(G, lattice_cap)
+    lat = _lattice(G, lattice_cap)
     full = (1 << G.order()) - 1
-    sperm = _lattice_predicate(G, False, lattice_cap).tolist()
-    sp = [m for m, ok in zip(lat, sperm) if ok]
+    sperm = _lattice_predicate(G, False, lat).tolist()
+    sp = [m for m, ok in zip(lat.masks, sperm) if ok]
     records = []
 
     # (1) s-permutable implies subnormal
@@ -431,7 +421,7 @@ def verify_lemma_2_1(
 
     # (2) restriction to intermediate subgroups, sampled
     t0 = time.perf_counter()
-    inst, sampled = _restriction_part(G, lattice_cap, sp, False)
+    inst, sampled = _restriction_part(G, lat, sp, False)
     records.append(
         _part_record("lemma-2.1.2", group_name, None, inst, sampled, t0)
     )
@@ -450,20 +440,20 @@ def verify_lemma_2_1(
     # (4) for normal K <= H: H s-permutable iff H/K s-permutable in G/K
     t0 = time.perf_counter()
     inst, sampled = [], False
-    for nm in normal_subgroup_masks(G):
+    for nm in lat.normal:
         if sampled:
             break
         if nm == 1 or nm == full:
             # kernel 1 and kernel G are tautological transfers
             continue
-        over = [i for i, m in enumerate(lat) if m | nm == m]  # requires K <= H
+        over = [i for i, m in enumerate(lat.masks) if m | nm == m]  # requires K <= H
         take = over[: PART_BUDGET - len(inst)]
         sampled = len(take) < len(over)
-        Q, block = _images(G, nm, _lattice_rows(G, lattice_cap)[take])
+        Q, block = _images(G, nm, lat.rows[take])
         for i, rhs in zip(take, _block_predicate(Q, block, False).tolist()):
             detail = _detail(
                 G,
-                {"subgroup": lat[i]},
+                {"subgroup": lat.masks[i]},
                 kernel_order=nm.bit_count(),
                 in_group=sperm[i],
                 in_quotient=rhs,
@@ -485,7 +475,7 @@ def verify_lemma_2_1(
                 break
             a, b = sp[i], sp[j]
             parts = {"first": a, "second": b, "intersection": a & b}
-            inst.append((sperm[row[a & b]], _detail(G, parts)))
+            inst.append((sperm[lat.row[a & b]], _detail(G, parts)))
     records.append(
         _part_record("lemma-2.1.5", group_name, None, inst, sampled, t0)
     )
@@ -494,7 +484,7 @@ def verify_lemma_2_1(
     t0 = time.perf_counter()
     inst, sampled = [], False
     res_masks = {p: _p_residual_mask(G, p) for p in primes_of(G)}
-    for m, lhs in zip(lat, sperm):
+    for m, lhs in zip(lat.masks, sperm):
         p = _p_subgroup_prime(G, m)
         if p is None:
             continue
@@ -517,12 +507,11 @@ def verify_lemma_2_1(
     return records
 
 
-def _ssp_p_subgroups(G: Group, lattice_cap: int) -> list[tuple[int, int]]:
+def _ssp_p_subgroups(G: Group, lat: _Lattice) -> list[tuple[int, int]]:
     """(prime, mask) for every nontrivial s-semipermutable p-subgroup in
-    the lattice."""
-    lat = lattice_masks(G, lattice_cap)
+    the lattice record ``lat``."""
     out = []
-    for m, ok in zip(lat, _lattice_predicate(G, True, lattice_cap).tolist()):
+    for m, ok in zip(lat.masks, _lattice_predicate(G, True, lat).tolist()):
         p = _p_subgroup_prime(G, m) if ok else None
         if p is not None:
             out.append((p, m))
@@ -534,16 +523,16 @@ def verify_lemma_2_2(
 ) -> list[VerificationRecord]:
     """Closure properties of s-semipermutable p-subgroups."""
     t0 = time.perf_counter()
-    row = _lattice_index(G, lattice_cap)
+    lat = _lattice(G, lattice_cap)
     full = (1 << G.order()) - 1
-    sperm = _lattice_predicate(G, False, lattice_cap).tolist()
-    ssemi = _lattice_predicate(G, True, lattice_cap).tolist()
-    ssp = _ssp_p_subgroups(G, lattice_cap)
-    separation = sum(1 for _, m in ssp if not sperm[row[m]])
+    sperm = _lattice_predicate(G, False, lat).tolist()
+    ssemi = _lattice_predicate(G, True, lat).tolist()
+    ssp = _ssp_p_subgroups(G, lat)
+    separation = sum(1 for _, m in ssp if not sperm[lat.row[m]])
     records = []
 
     # (1) restriction to intermediate subgroups, sampled
-    inst, sampled = _restriction_part(G, lattice_cap, [m for _, m in ssp], True)
+    inst, sampled = _restriction_part(G, lat, [m for _, m in ssp], True)
     records.append(
         _part_record(
             "lemma-2.2.1",
@@ -559,8 +548,8 @@ def verify_lemma_2_2(
     # (2) images modulo normal subgroups stay s-semipermutable
     t0 = time.perf_counter()
     inst, sampled = [], False
-    ssp_rows = _lattice_rows(G, lattice_cap)[[row[m] for _, m in ssp]]
-    for nm in normal_subgroup_masks(G):
+    ssp_rows = lat.rows[[lat.row[m] for _, m in ssp]]
+    for nm in lat.normal:
         if sampled:
             break
         if nm == 1 or nm == full:
@@ -588,7 +577,7 @@ def verify_lemma_2_2(
             break
         if m | cores[p] != cores[p]:
             continue
-        inst.append((sperm[row[m]], _detail(G, {"subgroup": m}, prime=p)))
+        inst.append((sperm[lat.row[m]], _detail(G, {"subgroup": m}, prime=p)))
     records.append(
         _part_record("lemma-2.2.3", group_name, None, inst, sampled, t0)
     )
@@ -596,7 +585,7 @@ def verify_lemma_2_2(
     # (4) intersections with normal subgroups stay s-semipermutable
     t0 = time.perf_counter()
     inst, sampled = [], False
-    for nm in normal_subgroup_masks(G):
+    for nm in lat.normal:
         if sampled:
             break
         for p, m in ssp:
@@ -605,7 +594,7 @@ def verify_lemma_2_2(
                 break
             parts = {"subgroup": m, "intersection": m & nm}
             detail = _detail(G, parts, normal_order=nm.bit_count())
-            inst.append((ssemi[row[m & nm]], detail))
+            inst.append((ssemi[lat.row[m & nm]], detail))
     records.append(
         _part_record("lemma-2.2.4", group_name, None, inst, sampled, t0)
     )
@@ -625,7 +614,7 @@ def verify_lemma_2_3(
     n = G.order()
     inst, sampled = [], False
     try:
-        candidates = [m for _, m in _ssp_p_subgroups(G, lattice_cap)]
+        candidates = [m for _, m in _ssp_p_subgroups(G, _lattice(G, lattice_cap))]
     except LatticeCapError:
         sampled = True
         found = set()
@@ -661,19 +650,20 @@ def verify_lemma_2_4(
 ) -> list[VerificationRecord]:
     """Complements of coprime abelian normal subgroups lift to the group."""
     t0 = time.perf_counter()
-    lat = lattice_masks(G, lattice_cap)
+    lat = _lattice(G, lattice_cap)
     tbl = G.table()
     n = G.order()
     full = (1 << n) - 1
     inst, sampled = [], False
-    for nm in normal_subgroup_masks(G):
+    for nm in lat.normal:
         if sampled or nm == 1:
             continue
         nidx = indices_from_mask(nm, n)
         block = tbl[np.ix_(nidx, nidx)]
         if not (block == block.T).all():  # N is not abelian
             continue
-        for mm in lat:
+        holds = None  # whether N has a complement in G: decided at the first M
+        for mm in lat.masks:
             if len(inst) >= PART_BUDGET:
                 sampled = True
                 break
@@ -681,9 +671,10 @@ def verify_lemma_2_4(
                 continue
             if gcd(nm.bit_count(), n // mm.bit_count()) != 1:
                 continue
-            if _complement_mask(G, mm, nm, lattice_cap) is None:
+            if _complement_mask(lat, mm, nm) is None:
                 continue
-            holds = _complement_mask(G, full, nm, lattice_cap) is not None
+            if holds is None:
+                holds = _complement_mask(lat, full, nm) is not None
             inst.append((holds, _detail(G, {"normal": nm, "intermediate": mm})))
     return [_part_record("lemma-2.4", group_name, None, inst, sampled, t0)]
 

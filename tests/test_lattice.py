@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import naive
-from grouplab import groups, structure
+from grouplab import groups, structure, theorems
 from grouplab.corpus import (
     alternating,
     builtin_corpus,
@@ -17,12 +17,19 @@ from grouplab.corpus import (
     dihedral,
     direct_product,
     elementary_abelian,
+    named_group,
     symmetric,
 )
 from grouplab.errors import DEFAULT_LATTICE_CAP
-from grouplab.groups import Group, is_subnormal
+from grouplab.groups import Group, is_subnormal, quotient
+from grouplab.runner import run_corpus
 from grouplab.solubility import derived_series_masks
-from grouplab.structure import _closure_lattice, lattice_masks
+from grouplab.structure import (
+    _closure_lattice,
+    _lattice,
+    lattice_masks,
+    normal_subgroup_masks,
+)
 
 
 def mask_of_set(G: Group, S) -> int:
@@ -135,7 +142,11 @@ def test_lattice_leaves_normalizers_cached(monkeypatch):
     built and kept as masks; later normalizer questions scan nothing."""
     G = direct_product(symmetric(4), cyclic(2))
     masks = lattice_masks(G)
-    known = G.cache["normalizers"]
+    known = {
+        k[1]: v
+        for k, v in G.cache.items()
+        if isinstance(k, tuple) and k[0] == "normalizer"
+    }
     assert set(masks) <= set(known)
     assert all(isinstance(m, int) and isinstance(v, int) for m, v in known.items())
     E = frozenset(G.elements())
@@ -150,3 +161,35 @@ def test_lattice_leaves_normalizers_cached(monkeypatch):
     monkeypatch.setattr(groups, "_scan_normalizer", no_scan)
     subnormal = [m for m in masks if is_subnormal(G, m)]
     assert 1 in subnormal and masks[-1] in subnormal
+
+
+def test_lattice_record_against_normal_subgroup_masks():
+    """The record's normal members, read from the normalizers cached while
+    the lattice is built, are the join closure's list, in the same order,
+    and its order buckets cut the members into runs in lattice order: over
+    the corpus and over every G/N of three groups with several normal
+    subgroups."""
+    cases = [ng.group for ng in builtin_corpus(48)]
+    for name in ("S4", "D12", "S3xS3"):
+        G = named_group(name).group
+        cases += [quotient(G, nm).quotient for nm in normal_subgroup_masks(G)]
+    for G in cases:
+        lat = _lattice(G)
+        assert lat.normal == normal_subgroup_masks(G)
+        assert [m for k in sorted(lat.of_order) for m in lat.of_order[k]] == lat.masks
+        assert all(m.bit_count() == k for k, ms in lat.of_order.items() for m in ms)
+        assert [lat.row[m] for m in lat.masks] == list(range(len(lat.masks)))
+        assert groups._row_masks(lat.rows) == lat.masks
+
+
+def test_lemma_suites_build_no_join_closure(monkeypatch):
+    """The lemma suites take G's normal subgroups from the lattice record,
+    so they run without ``normal_subgroup_masks``."""
+
+    def refuse(G):
+        raise AssertionError("normal_subgroup_masks called")
+
+    monkeypatch.setattr(structure, "normal_subgroup_masks", refuse)
+    monkeypatch.setattr(theorems, "normal_subgroup_masks", refuse, raising=False)
+    report = run_corpus(builtin_corpus(32), ["lemmas"])
+    assert report.records and report.failed == 0

@@ -24,7 +24,7 @@ from grouplab.permutability import (
     product_set,
 )
 from grouplab.solubility import derived_series_masks, is_soluble
-from grouplab.structure import all_sylow_subgroups, lattice_masks, primes_of
+from grouplab.structure import _lattice, all_sylow_subgroups, lattice_masks, primes_of
 
 
 def fresh(G: Group) -> Group:
@@ -78,12 +78,13 @@ def test_sylows_within_overgroup(name, request):
     """The restriction parts take an overgroup K's Sylow subgroups from G's
     lattice; they must be those of K built as a group in its own right."""
     G = fresh(request.getfixturevalue(name))
-    masks = lattice_masks(G)
+    lat = _lattice(G)
+    masks = lat.masks
     checked = 0
     for km in masks:
         K = G.subgroup_from_mask(km)
         k_idx = G.indices_of(K)
-        within = theorems._sylows_within(G, masks, km)
+        within = theorems._sylows_within(G, lat, km)
         assert sorted(within) == primes_of(K)
         for q in primes_of(K):
             own = [
@@ -174,9 +175,9 @@ def test_restriction_counterexample_pairs_subgroup_and_overgroup(monkeypatch):
     monkeypatch.setattr(theorems, "_permutes_with_sylows", lambda *args: False)
     rec = theorems.verify_lemma_2_2(G)[0]
     assert rec.check == "lemma-2.2.1" and rec.status == "VIOLATED"
-    lat = lattice_masks(G, DEFAULT_LATTICE_CAP)
-    m = theorems._ssp_p_subgroups(G, DEFAULT_LATTICE_CAP)[0][1]
-    km = next(k for k in lat if k != m and k | m == k)
+    lat = _lattice(G, DEFAULT_LATTICE_CAP)
+    m = theorems._ssp_p_subgroups(G, lat)[0][1]
+    km = next(k for k in lat.masks if k != m and k | m == k)
     assert rec.witnesses["counterexample"] == {
         "subgroup": theorems._fmt_group(G.subgroup_from_mask(m)),
         "intermediate": theorems._fmt_group(G.subgroup_from_mask(km)),

@@ -15,6 +15,7 @@ from grouplab.permutability import (
 )
 from grouplab.perms import Permutation
 from grouplab.structure import (
+    _lattice,
     all_subgroups,
     all_sylow_subgroups,
     o_p,
@@ -201,6 +202,6 @@ def test_lattice_predicate_sends_every_sylow_subgroup_through_the_kernel(
 
     monkeypatch.setattr(permutability, "permutes_with", counted)
     G = symmetric(4)
-    _lattice_predicate(G, False, DEFAULT_LATTICE_CAP)
+    _lattice_predicate(G, False, _lattice(G, DEFAULT_LATTICE_CAP))
     sylows = all_sylow_subgroups(G, 2).masks + all_sylow_subgroups(G, 3).masks
     assert len(sylows) == 7 and sorted(calls) == sorted(sylows)

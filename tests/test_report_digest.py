@@ -14,6 +14,7 @@ from grouplab.runner import run_corpus
 
 DIGESTS = {
     (24, "lemmas"): "1508cb01c7b73783213499cfc791c3c3aabe59fd6f68398a428665d7794890c6",
+    (64, "lemmas"): "2c2ebe486cc0d1432f3de83e313376f3ad2b5850bef38b9b3562f8c406019979",
     (60, "main"): "b9e0b2cde02db91ecd589734d9f12b4460c4eacfda54e73b4e83b74cc62ddc72",
     (60, "corollaries"): "68418b8d6542ccc6e7c5f0dfea62e6117f2317bd6713c6fac4fb4cd1360fae2a",
     (60, "srinivasan"): "96c672626b919946156d327cf8f8eeccfe201128a779c7cbc664eda153da9efc",

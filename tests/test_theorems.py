@@ -22,8 +22,8 @@ from grouplab.runner import (
 )
 from grouplab.solubility import chief_series
 from grouplab.structure import (
+    _lattice,
     all_sylow_subgroups,
-    lattice_masks,
     md_families,
     primes_of,
     sylow_subgroup,
@@ -506,37 +506,36 @@ def test_restriction_parts_skip_a_sylow_subgroup_alone_in_k(monkeypatch):
     H <= K permutes with it and no lattice vector is read for it: a
     nilpotent group reads none, and on S4 and S3xS3 every (H, K) gets the
     answer that reading all of K's Sylow subgroups gives."""
-    cap = DEFAULT_LATTICE_CAP
     read = []
     real = theorems._lattice_permutes
 
-    def counted(G, L, lattice_cap):
+    def counted(G, L, lat):
         read.append(L)
-        return real(G, L, lattice_cap)
+        return real(G, L, lat)
 
     monkeypatch.setattr(theorems, "_lattice_permutes", counted)
     G = named_group("D8xC3").group
-    lat = lattice_masks(G)
+    lat = _lattice(G, DEFAULT_LATTICE_CAP)
     for coprime_only in (False, True):
-        theorems._restriction_part(G, cap, lat, coprime_only)
+        theorems._restriction_part(G, lat, lat.masks, coprime_only)
     assert read == []
     for name in ("S4", "S3xS3"):
         G = named_group(name).group
-        lat = lattice_masks(G)
-        for i, m in enumerate(lat):
-            for km in lat:
+        lat = _lattice(G, DEFAULT_LATTICE_CAP)
+        for i, m in enumerate(lat.masks):
+            for km in lat.masks:
                 if km | m != km:
                     continue
                 sylows = theorems._sylows_within(G, lat, km)
                 for coprime_only in (False, True):
                     every = all(
-                        real(G, L, cap)[i]
+                        real(G, L, lat)[i]
                         for q, masks in sylows.items()
                         if not (coprime_only and m.bit_count() % q == 0)
                         for L in masks
                     )
                     got = theorems._permutes_with_sylows(
-                        G, cap, i, coprime_only, sylows
+                        G, lat, i, coprime_only, sylows
                     )
                     assert got == every, (name, i, km)
     assert read
