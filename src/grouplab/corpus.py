@@ -66,6 +66,9 @@ GROUP_CACHE_MAX_ORDER = 128
 """Largest order the cache keeps past the next lookup (a 64 KiB table)."""
 
 _groups: OrderedDict[tuple[int, tuple[str, ...]], Group] = OrderedDict()
+_unsized: dict[tuple[int, tuple[str, ...]], Group] = {}
+"""The entries whose order was unknown at the last lookup: a known order
+never changes, so only these are looked at again."""
 _counts = {"hits": 0, "misses": 0}
 
 
@@ -83,9 +86,9 @@ def _cached_group(degree: int, generators: tuple[str, ...]) -> Group:
     the cache or built and entered into it.  Computes nothing beyond the
     lookup: an order not yet known is not computed, so a large group goes
     at the first lookup after its order is found."""
-    large = [k for k, G in _groups.items() if (G._order or 0) > GROUP_CACHE_MAX_ORDER]
-    for key in large:
-        del _groups[key]
+    for key in [k for k, G in _unsized.items() if G._order is not None]:
+        if _unsized.pop(key)._order > GROUP_CACHE_MAX_ORDER:
+            del _groups[key]
     key = (degree, generators)
     G = _groups.get(key)
     if G is not None:
@@ -96,9 +99,9 @@ def _cached_group(degree: int, generators: tuple[str, ...]) -> Group:
     G = group_from_generators(
         degree, [Permutation.parse(degree, text) for text in generators]
     )
-    _groups[key] = G
+    _groups[key] = _unsized[key] = G
     if len(_groups) > GROUP_CACHE_SIZE:
-        _groups.popitem(last=False)
+        _unsized.pop(_groups.popitem(last=False)[0], None)
     return G
 
 
@@ -119,6 +122,7 @@ def group_cache_info() -> GroupCacheInfo:
 def clear_group_cache() -> None:
     """Empty the group-file cache and reset its counts."""
     _groups.clear()
+    _unsized.clear()
     _counts.update(hits=0, misses=0)
 
 

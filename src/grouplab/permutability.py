@@ -21,11 +21,17 @@ it (one vector per L, cached); the quotient parts of the lemmas pass the
 images of many subgroups in G/N as one block, on the table that
 ``groups.quotient`` hands G/N; single predicate calls pass a batch of one.
 
-A normal Sylow subgroup Q permutes with every H (HQ = QH when Q is
-normal), so the restriction parts of the lemma suites and the failure
-witness of the main check skip a prime whose Sylow subgroup is the only
-one (``structure._normal_sylow_mask``).  The Sylow test here still sends
-every Sylow subgroup through the kernel and its cross-assertions.
+One loop, :func:`_sylow_vector`, runs the Sylow test for every caller:
+it walks the primes its caller passes and reports, for each subgroup,
+the first Sylow subgroup it fails to permute with.  A normal Sylow
+subgroup Q permutes with every H (HQ = QH when Q is normal), so the main
+check (:func:`_semipermutable_rows`, all maximal subgroups of P in one
+block, its failure witness read from the same pass), the single
+predicates and the restriction parts of the lemma suites skip a prime
+whose Sylow subgroup is the only one (``structure._normal_sylow_mask``).
+The lattice vectors and the G/N blocks still send every Sylow subgroup
+through the kernel; every Sylow subgroup that is sent meets its
+cross-assertions.
 
 :func:`product_set` builds the two product sets of one pair, with its own
 assertions, for witness text and the public API.
@@ -47,7 +53,13 @@ import numpy as np
 
 from .errors import DEFAULT_LATTICE_CAP
 from .groups import ElementSet, Group, _cached, _mask_rows, mask_from_indices
-from .structure import _Lattice, _lattice, all_sylow_subgroups, primes_of
+from .structure import (
+    _Lattice,
+    _lattice,
+    _normal_sylow_mask,
+    all_sylow_subgroups,
+    primes_of,
+)
 
 _BLOCK = 1 << 18
 """Most cells one gather of the kernel touches, so memory stays bounded."""
@@ -151,32 +163,107 @@ def permutes_with(G: Group, rows: np.ndarray, L: Group | int) -> np.ndarray:
 
 
 def _sylow_vector(
-    G: Group, orders: np.ndarray, coprime_only: bool, permutes
-) -> np.ndarray:
-    """For subgroups H of these orders: whether H permutes with every Sylow
-    q-subgroup Q of G, for each prime q of |G| (only those not dividing |H|
-    when ``coprime_only``), where ``permutes(Q)`` is HQ = QH for every H.
-    Rows already decided stop asking, and a prime no row asks about is
-    never looked at."""
-    ok = np.ones(len(orders), dtype=bool)
-    for q in primes_of(G):
-        live = ok & (orders % q != 0) if coprime_only else ok.copy()
+    G: Group, orders: np.ndarray, coprime_only: bool, permutes, primes: list[int]
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The Sylow test for subgroups H of these orders, at the primes q
+    passed (only those not dividing |H| when ``coprime_only``):
+    ``permutes(Q, live)`` is HQ = QH for each H of the bool vector
+    ``live``, the rows still undecided.
+
+    Returns ``(first, sent)``: ``sent`` lists the Sylow subgroups (q, Q)
+    asked about, primes in the order given and each prime's masks in
+    ``all_sylow_subgroups`` order, and ``first[i]`` is the position in
+    ``sent`` of the first one H_i fails to permute with, -1 for none.  A
+    failed row stops asking, and a prime no row asks about is never looked
+    at.
+
+    The main check and the single predicates pass only the primes whose
+    Sylow subgroup is not normal (:func:`_sylow_primes`).  The lattice
+    vectors and the G/N blocks of lemmas 2.1.4 and 2.2.2 pass every prime
+    of |G|, on purpose.  With the skip on both, the benchmark's
+    ``sweep-lemmas`` ran 966-1037 instead of 704-744 instances/s (seeds
+    1-3, one run each, 2-vCPU VM), but its ``peak_rss_mb`` rose 100-105 →
+    124-128 MB, past the benchmark's 0.15 bound, while the library's own
+    RSS before the latency percentiles stayed at 45.1 → 45.3 MB: the
+    benchmark's percentile bookkeeping grows with the checks completed
+    (about 3.8 KB each).  Once that bookkeeping is bounded, both callers
+    switch by passing ``_sylow_primes(G)``.
+    """
+    first = np.full(len(orders), -1)
+    sent: list[tuple[int, int]] = []
+    for q in primes:
+        live = first < 0
+        if coprime_only:
+            live &= orders % q != 0
         if not live.any():
             continue
         for Q in all_sylow_subgroups(G, q).masks:
-            ok &= permutes(Q) | ~live
-            live &= ok
+            rows = np.flatnonzero(live)
+            failed = rows[~permutes(Q, live)]
+            first[failed] = len(sent)
+            sent.append((q, Q))
+            live[failed] = False
             if not live.any():
                 break
-    return ok
+    return first, sent
+
+
+def _sylow_primes(G: Group) -> list[int]:
+    """The primes of |G| whose Sylow subgroup is not normal: the only ones
+    at which a subgroup can fail the Sylow test."""
+    return [q for q in primes_of(G) if not _normal_sylow_mask(G, q)]
+
+
+def _block_test(
+    G: Group, rows: np.ndarray, coprime_only: bool, primes: list[int]
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """:func:`_sylow_vector` on the subgroups in the rows of the bool block
+    ``rows``; each kernel call gets only the rows still undecided."""
+    return _sylow_vector(
+        G,
+        rows.sum(axis=1),
+        coprime_only,
+        lambda Q, live: permutes_with(G, rows[live], Q),
+        primes,
+    )
 
 
 def _block_predicate(G: Group, rows: np.ndarray, coprime_only: bool) -> np.ndarray:
     """s-permutability (s-semipermutability when ``coprime_only``) of the
-    subgroup in each row of the bool block ``rows``."""
-    return _sylow_vector(
-        G, rows.sum(axis=1), coprime_only, lambda Q: permutes_with(G, rows, Q)
-    )
+    subgroup in each row of the bool block ``rows``, at every prime."""
+    return _block_test(G, rows, coprime_only, primes_of(G))[0] < 0
+
+
+def _semipermutable_rows(
+    G: Group, masks: list[int]
+) -> tuple[list[bool], tuple[int, int] | None]:
+    """s-semipermutability of the subgroups with these masks, in one block,
+    and the first Sylow subgroup (q, Q) that the first failing one fails to
+    permute with (None when all pass).
+
+    The verdicts are those of :func:`is_s_semipermutable`, read from and
+    written to its cache entries: only the rows not yet cached go through
+    the kernel.  When the first failing row's verdict was cached, its
+    (q, Q) comes from a one-row pass.
+    """
+    n = G.order()
+    primes = _sylow_primes(G)
+    ok = [G.cache.get(("s-semiperm", m)) for m in masks]
+    todo = [i for i, v in enumerate(ok) if v is None]
+    first = np.full(len(masks), -1)
+    sent: list[tuple[int, int]] = []
+    if todo:
+        rows = _mask_rows([masks[i] for i in todo], n)
+        first[todo], sent = _block_test(G, rows, True, primes)
+        for i in todo:
+            ok[i] = G.cache[("s-semiperm", masks[i])] = bool(first[i] < 0)
+    bad = next((i for i, v in enumerate(ok) if not v), None)
+    if bad is None:
+        return ok, None
+    if first[bad] >= 0:
+        return ok, sent[first[bad]]
+    one, sent = _block_test(G, _mask_rows([masks[bad]], n), True, primes)
+    return ok, sent[one[0]]
 
 
 # -- vectors over the subgroup lattice --------------------------------------------
@@ -194,10 +281,14 @@ def _lattice_predicate(G: Group, coprime_only: bool, lat: _Lattice) -> np.ndarra
     Sylow subgroups."""
 
     def build():
-        orders = lat.rows.sum(axis=1)
-        return _sylow_vector(
-            G, orders, coprime_only, lambda Q: _lattice_permutes(G, Q, lat)
+        first, _ = _sylow_vector(
+            G,
+            lat.rows.sum(axis=1),
+            coprime_only,
+            lambda Q, live: _lattice_permutes(G, Q, lat)[live],
+            primes_of(G),
         )
+        return first < 0
 
     return _cached(G, ("lattice predicate", coprime_only), build)
 
@@ -212,9 +303,10 @@ def _cached_predicate(G: Group, tag: str, H: Group | int, fn) -> bool:
 
 
 def _one(G: Group, mask: int, coprime_only: bool) -> bool:
-    """The Sylow test for one subgroup: a batch of one row."""
+    """The Sylow test for one subgroup, a batch of one row, at the primes
+    whose Sylow subgroup is not normal."""
     rows = _mask_rows([mask], G.order())
-    return bool(_block_predicate(G, rows, coprime_only)[0])
+    return bool(_block_test(G, rows, coprime_only, _sylow_primes(G))[0][0] < 0)
 
 
 def is_s_permutable(G: Group, H: Group | int) -> bool:

@@ -297,7 +297,9 @@ def lattice_masks(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[int]
     of the cosets Kg^i for i < p, built once, from the least coset minimum
     it contains.  When N_G(K) <= R, every such K<g> is already in R's
     lattice.  Each member's normalizer stays in G's cache under
-    ``("normalizer", mask)``, where ``_lattice`` reads the normal ones.
+    ``("normalizer", mask)``, where ``_lattice`` reads the normal ones; a
+    member containing the derived subgroup G' is normal, so its entry is G
+    without a scan.
     """
     n = G.order()
     if n > lattice_cap:
@@ -318,12 +320,16 @@ def lattice_masks(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[int]
             for _ in range(p - 1):
                 x = tbl[x, ident]
             powers[p] = x
-        residual = derived_series_masks(G)[-1]
+        derived = derived_series_masks(G)
+        commutator = derived[1] if len(derived) > 1 else derived[0]  # G'
+        residual = derived[-1]
         subs = _closure_lattice(G, indices_from_mask(residual, n))
         queue = list(subs)
         label = np.zeros(n, dtype=np.int64)
         while queue:
             k = queue.pop()
+            if k & commutator == commutator:  # K >= G' is normal
+                _cached(G, ("normalizer", k), lambda: (1 << n) - 1)
             nk = _normalizer_mask(G, k)
             if nk == k or nk | residual == residual:
                 continue

@@ -42,7 +42,6 @@ from .errors import DEFAULT_LATTICE_CAP, LatticeCapError
 from .groups import (
     Group,
     _cached,
-    _mask_rows,
     _normal_closure_indices,
     _normalizer_mask,
     indices_from_mask,
@@ -54,9 +53,9 @@ from .permutability import (
     _block_predicate,
     _lattice_permutes,
     _lattice_predicate,
+    _semipermutable_rows,
     is_s_permutable,
     is_s_semipermutable,
-    permutes_with,
     product_set,
 )
 from .solubility import (
@@ -74,7 +73,6 @@ from .structure import (
     _Lattice,
     _maximal_data,
     _maximal_masks,
-    _normal_sylow_mask,
     _o_p_mask,
     _p_group_frame,
     _p_residual_mask,
@@ -137,32 +135,6 @@ def _fmt_group(H: Group) -> str:
     return f"order {H.order()} = <{gens}>"
 
 
-def _ssp_failure(G: Group, mask: int) -> dict:
-    """First Sylow subgroup of coprime order that the subgroup H with mask
-    ``mask`` fails to permute with.
-
-    A prime whose Sylow subgroup is normal (G a q-group included) is
-    skipped: it never fails.  For the others the Sylow q-subgroups are the
-    masks of G's shared Sylow systems (:func:`all_sylow_subgroups`).  HQ =
-    QH is decided on each mask against H's one row, and only the first
-    failing Q becomes a ``Group``, for its generator text; its product size
-    comes from one ``product_set`` on masks.
-    """
-    rows = _mask_rows([mask], G.order())
-    for q in primes_of(G):
-        if mask.bit_count() % q == 0 or _normal_sylow_mask(G, q):
-            continue
-        for Q in all_sylow_subgroups(G, q).masks:
-            if not permutes_with(G, rows, Q)[0]:
-                return {
-                    "prime": q,
-                    "sylow": _fmt_group(G.subgroup_from_mask(Q)),
-                    "product_size": product_set(G, mask, Q).cardinality,
-                    "hk_equals_kh": False,
-                }
-    return {}
-
-
 # -- the main statement ---------------------------------------------------------
 
 
@@ -170,7 +142,16 @@ def main_hypothesis(
     G: Group, p: int, mode: HypothesisMode = HypothesisMode.EXISTS
 ) -> tuple[bool, dict]:
     """Whether every member of a / the canonical / all d-families of maximal
-    subgroups of the Sylow p-subgroup is s-semipermutable, with witnesses."""
+    subgroups of the Sylow p-subgroup is s-semipermutable, with witnesses.
+
+    The maximal subgroups (the d canonical ones in canonical mode) are
+    decided in one Sylow pass (``_semipermutable_rows``), which skips the
+    primes whose Sylow subgroup is normal.  The first failing member's
+    ``failure`` names the first Sylow subgroup it fails to permute with,
+    primes ascending and then in ``all_sylow_subgroups`` order, as the
+    pass reports it; only that Q becomes a ``Group``, for its generator
+    text, and its product size comes from one ``product_set`` on masks.
+    """
     if G.order() % p != 0:
         raise ValueError(f"prime {p} does not divide the group order")
     mode = HypothesisMode(mode)
@@ -180,43 +161,43 @@ def main_hypothesis(
     wit: dict = {"d": d, "maximal_count": len(maximals), "mode": mode.value}
     masks = _maximal_masks(P, G)
     if mode is HypothesisMode.CANONICAL:
-        canonical = [
+        members = [
             functionals.index((0,) * i + (1,) + (0,) * (d - 1 - i)) for i in range(d)
         ]
-        for i in canonical:
-            if not is_s_semipermutable(G, masks[i]):
-                wit["failing_member"] = _fmt_group(maximals[i])
-                wit["failure"] = _ssp_failure(G, masks[i])
-                return False, wit
-        wit["family"] = [_fmt_group(maximals[i]) for i in sorted(canonical)]
-        return True, wit
-    passing = [i for i, m in enumerate(masks) if is_s_semipermutable(G, m)]
-    passed = set(passing)
-    wit["passing_count"] = len(passing)
-    if mode is HypothesisMode.FORALL:
-        # every maximal subgroup lies in some family, so "all families" is
-        # equivalent to every maximal subgroup passing
-        if len(passing) == len(maximals):
+    else:
+        members = list(range(len(masks)))
+    ok, first_failure = _semipermutable_rows(G, [masks[i] for i in members])
+    if mode is not HypothesisMode.CANONICAL:
+        passing = [i for i, passed in zip(members, ok) if passed]
+        wit["passing_count"] = len(passing)
+    if mode is HypothesisMode.EXISTS:
+        # some d linearly independent passing functionals; all maximal
+        # subgroups together span, so short of d some one failed
+        basis: list[int] = []
+        for i in passing:
+            if _rank_mod_p([functionals[j] for j in basis + [i]], p) == len(basis) + 1:
+                basis.append(i)
+                if len(basis) == d:
+                    break
+        if len(basis) == d:
+            wit["family"] = [_fmt_group(maximals[i]) for i in basis]
             return True, wit
-        failing = next(i for i in range(len(maximals)) if i not in passed)
-        wit["failing_member"] = _fmt_group(maximals[failing])
-        wit["failure"] = _ssp_failure(G, masks[failing])
-        return False, wit
-    # exists: some d linearly independent passing functionals
-    basis: list[int] = []
-    for i in passing:
-        if _rank_mod_p([functionals[j] for j in basis + [i]], p) == len(basis) + 1:
-            basis.append(i)
-            if len(basis) == d:
-                break
-    if len(basis) == d:
-        wit["family"] = [_fmt_group(maximals[i]) for i in basis]
+        wit["passing_rank"] = len(basis)
+    elif first_failure is None:
+        # forall: every maximal subgroup lies in some family, so "all
+        # families" is equivalent to every maximal subgroup passing
+        if mode is HypothesisMode.CANONICAL:
+            wit["family"] = [_fmt_group(maximals[i]) for i in sorted(members)]
         return True, wit
-    wit["passing_rank"] = len(basis)
-    failing = [i for i in range(len(maximals)) if i not in passed]
-    if failing:
-        wit["failing_member"] = _fmt_group(maximals[failing[0]])
-        wit["failure"] = _ssp_failure(G, masks[failing[0]])
+    failing = members[ok.index(False)]
+    q, Q = first_failure
+    wit["failing_member"] = _fmt_group(maximals[failing])
+    wit["failure"] = {
+        "prime": q,
+        "sylow": _fmt_group(G.subgroup_from_mask(Q)),
+        "product_size": product_set(G, masks[failing], Q).cardinality,
+        "hk_equals_kh": False,
+    }
     return False, wit
 
 

@@ -86,6 +86,32 @@ def test_large_group_dropped_at_next_lookup():
     assert _group("name: s\ndegree: 4\ngen: (1 2 3 4)\ngen: (1 2)\n") is small
 
 
+def test_lookup_examines_no_entry_of_known_small_order(monkeypatch):
+    """A known order never changes, so once a lookup has seen every
+    entry's order, later lookups look at none of them, hits and misses
+    alike."""
+    from grouplab import corpus
+
+    texts = [f"name: c\ndegree: {k + 2}\ngen: (1 2)\n" for k in range(GROUP_CACHE_SIZE)]
+    for text in texts:
+        assert _group(text).order() == 2
+    _group(texts[0])  # sees every order once
+
+    class Watched:
+        def __init__(self, G):
+            self.G = G
+
+        def __getattr__(self, attr):
+            raise AssertionError(f"cached group examined: {attr}")
+
+    for key in list(corpus._groups):
+        monkeypatch.setitem(corpus._groups, key, Watched(corpus._groups[key]))
+    G = corpus._cached_group(3, ("(1 2 3)",))
+    assert corpus._cached_group(3, ("(1 2 3)",)) is G
+    assert len(corpus._groups) == GROUP_CACHE_SIZE
+    assert isinstance(corpus._groups[(4, ("(1 2)",))], Watched)
+
+
 def test_failed_parse_leaves_no_entry():
     with pytest.raises(CycleFormatError):
         _group("name: x\ndegree: 3\ngen: (1 2)\ngen: (1 4)\n")

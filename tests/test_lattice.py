@@ -163,6 +163,31 @@ def test_lattice_leaves_normalizers_cached(monkeypatch):
     assert 1 in subnormal and masks[-1] in subnormal
 
 
+def test_normalizers_above_the_derived_subgroup_are_stored_unscanned(monkeypatch):
+    """Over corpus 48, building the lattice scans no member containing G',
+    every member's stored normalizer equals a fresh scan, and the record's
+    normal members are those whose scanned normalizer is G."""
+    scan = groups._scan_normalizer
+    scanned = []
+
+    def recorded(G, mask):
+        scanned.append(mask)
+        return scan(G, mask)
+
+    monkeypatch.setattr(groups, "_scan_normalizer", recorded)
+    for ng in builtin_corpus(48):
+        G = ng.group
+        full = (1 << G.order()) - 1
+        derived = derived_series_masks(G)
+        commutator = derived[1] if len(derived) > 1 else derived[0]
+        scanned.clear()
+        lat = _lattice(G)
+        assert all(k & commutator != commutator for k in scanned), ng.name
+        scans = [scan(G, m) for m in lat.masks]
+        assert [G.cache[("normalizer", m)] for m in lat.masks] == scans, ng.name
+        assert lat.normal == [m for m, nm in zip(lat.masks, scans) if nm == full]
+
+
 def test_lattice_record_against_normal_subgroup_masks():
     """The record's normal members, read from the normalizers cached while
     the lattice is built, are the join closure's list, in the same order,

@@ -3,11 +3,14 @@ import pytest
 
 import naive
 from grouplab import permutability
-from grouplab.corpus import builtin_corpus, symmetric
+from grouplab.corpus import builtin_corpus, named_group, symmetric
 from grouplab.errors import DEFAULT_LATTICE_CAP, LatticeCapError
-from grouplab.groups import is_normal, normalizer, subgroup_generated
+from grouplab.groups import _mask_rows, is_normal, normalizer, subgroup_generated
 from grouplab.permutability import (
+    _block_test,
     _lattice_predicate,
+    _semipermutable_rows,
+    _sylow_primes,
     is_s_permutable,
     is_s_semipermutable,
     is_semipermutable,
@@ -16,13 +19,16 @@ from grouplab.permutability import (
 from grouplab.perms import Permutation
 from grouplab.structure import (
     _lattice,
+    _maximal_masks,
     all_subgroups,
     all_sylow_subgroups,
     o_p,
     p_part,
     p_residual,
     primes_of,
+    sylow_subgroup,
 )
+from grouplab.theorems import HypothesisMode, main_hypothesis
 
 P = Permutation.parse
 
@@ -205,3 +211,92 @@ def test_lattice_predicate_sends_every_sylow_subgroup_through_the_kernel(
     _lattice_predicate(G, False, _lattice(G, DEFAULT_LATTICE_CAP))
     sylows = all_sylow_subgroups(G, 2).masks + all_sylow_subgroups(G, 3).masks
     assert len(sylows) == 7 and sorted(calls) == sorted(sylows)
+
+
+# -- the Sylow pass against the per-subgroup scan ----------------------------------
+
+
+def _first_failure_scan(G, mask, coprime_only):
+    """The per-subgroup Sylow test without the normal-Sylow skip: one row
+    against every Sylow subgroup of every prime (of coprime order only when
+    ``coprime_only``), primes ascending, and the first (q, Q) that fails,
+    None when none does."""
+    row = _mask_rows([mask], G.order())
+    for q in primes_of(G):
+        if coprime_only and mask.bit_count() % q == 0:
+            continue
+        for Q in all_sylow_subgroups(G, q).masks:
+            if not permutability.permutes_with(G, row, Q)[0]:
+                return q, Q
+    return None
+
+
+def _pass_cases():
+    for ng in builtin_corpus(64):
+        yield ng.name, ng.group
+    for name in ("S4xS4", "D10xA5"):
+        yield name, named_group(name).group
+
+
+@pytest.mark.parametrize("coprime_only", [False, True])
+def test_sylow_pass_agrees_with_the_per_subgroup_scan(coprime_only):
+    """On the maximal subgroups of P at every prime, over corpus 64 and two
+    large products: the pass at the non-normal primes gives each row the
+    verdict and the first failing (q, Q) of the scan without the skip, and
+    the block predicate at every prime the same verdicts."""
+    failures = 0
+    for name, G in _pass_cases():
+        for p in primes_of(G):
+            masks = _maximal_masks(sylow_subgroup(G, p), G)
+            rows = _mask_rows(masks, G.order())
+            first, sent = _block_test(G, rows, coprime_only, _sylow_primes(G))
+            got = [sent[f] if f >= 0 else None for f in first]
+            want = [_first_failure_scan(G, m, coprime_only) for m in masks]
+            assert got == want, (name, p)
+            verdicts = permutability._block_predicate(G, rows, coprime_only)
+            assert verdicts.tolist() == [w is None for w in want], (name, p)
+            failures += sum(w is not None for w in want)
+    assert failures > 100
+
+
+def test_semipermutable_rows_reads_and_writes_the_predicate_cache():
+    """The block pass leaves every verdict where ``is_s_semipermutable``
+    finds it, and a failing verdict already cached gets the same (q, Q)
+    as on a fresh group, from a one-row pass."""
+    for name in ("A4", "S4", "C3xS3", "S3xS3"):
+        for p in primes_of(named_group(name).group):
+            fresh = named_group(name).group
+            P = sylow_subgroup(fresh, p)
+            masks = _maximal_masks(P, fresh)
+            want = _semipermutable_rows(fresh, masks)
+            assert want[0] == [fresh.cache[("s-semiperm", m)] for m in masks]
+            assert want[0] == [is_s_semipermutable(fresh, m) for m in masks]
+            warm = named_group(name).group
+            masks = _maximal_masks(sylow_subgroup(warm, p), warm)
+            for m in masks:
+                is_s_semipermutable(warm, m)
+            assert _semipermutable_rows(warm, masks) == want, (name, p)
+
+
+def test_main_check_skips_normal_sylow_subgroups(monkeypatch):
+    """A nilpotent group's main check sends no Sylow subgroup through the
+    kernel, at any prime and in any mode; S4 at 2 still sends its four
+    Sylow 3-subgroups, which its normal Klein four-group must all pass."""
+    calls = []
+    real = permutability.permutes_with
+
+    def counted(G, rows, L):
+        calls.append(G.mask_of(L))
+        return real(G, rows, L)
+
+    monkeypatch.setattr(permutability, "permutes_with", counted)
+    for name in ("Q8xC3", "C2^3xC5"):
+        G = named_group(name).group
+        for p in primes_of(G):
+            for mode in HypothesisMode:
+                assert main_hypothesis(G, p, mode)[0], (name, p, mode)
+        assert calls == [], name
+    G = symmetric(4)
+    assert not main_hypothesis(G, 2)[0]
+    assert calls == all_sylow_subgroups(G, 3).masks
+
