@@ -23,9 +23,10 @@ print("a * b =", compose(a, b), "   (apply a first, then b: 1 -> 2 -> 3)")
 print("b * a =", compose(b, a))
 print("a * a =", a * a, "  (involution squared)")
 
-# Groups are defined by generators; order and membership come from a
-# base-and-strong-generating-set structure, so they work far beyond the
-# element-enumeration cap.
+# Groups are defined by generators.  Up to the element-enumeration cap,
+# order and membership come from the element list, built by coset
+# enumeration; above it from a stabilizer chain, so they work far beyond
+# the cap.
 S4 = group_from_generators(4, [Permutation.parse(4, "(1 2)"), Permutation.parse(4, "(1 2 3 4)")])
 print("\n|S4| =", S4.order())
 print("(1 2 3) in S4:", S4.contains(Permutation.parse(4, "(1 2 3)")))

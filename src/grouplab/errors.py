@@ -7,9 +7,10 @@ past a cap raise instead of silently degrading; callers that can degrade
 """
 
 DEFAULT_ENUM_CAP = 10_000
-"""Largest group order for which elements are listed one by one.  It also
-bounds the dense multiplication table, which is built on the element index:
-n^2 int32 entries, 400 MB at 10,000."""
+"""Largest group order for which elements are listed one by one, by coset
+enumeration; a larger group's order and membership come from a stabilizer
+chain.  It also bounds the dense multiplication table, which is built on
+the element index: n^2 int32 entries, 400 MB at 10,000."""
 
 DEFAULT_LATTICE_CAP = 400
 """Largest group order for which the full subgroup lattice is built."""
@@ -19,8 +20,8 @@ DEFAULT_TABLE_CAP = 2048
 Frattini subgroup, Burnside basis and maximal subgroups, are built on a
 multiplication table (G's for a Sylow subgroup P of G); above it, or above
 the group's enumeration cap, ``normal_closure`` and the p-group frame work
-on generators and stabilizer chains and need neither the element list nor
-the table.  A threshold, not a cap: nothing raises on it."""
+on generators and need neither G's element list nor its table.  A
+threshold, not a cap: nothing raises on it."""
 
 DEFAULT_FAMILY_LIMIT = 100_000
 """Most maximal-subgroup families enumerated per p-group."""

@@ -1,29 +1,30 @@
 """Generator-defined permutation groups and the operations on them.
 
-A :class:`Group` is immutable after construction.  Its membership structure
-(a base and strong generating set), element list, element index and dense
-multiplication table are all built lazily, each at most once.  The element
-list, and with it the multiplication table, exists only for groups whose
-order is at most the enumeration cap: the table is built on the element
-index, so every enumerable group gets its table, and above the cap both
-raise :class:`EnumerationCapError`.  Every operation that needs element
-data runs on the table.  Two constructions have a second path, on
-generators and stabilizer chains, which needs no element list, for groups
-above ``DEFAULT_TABLE_CAP`` or above their enumeration cap
-(:func:`_on_table`): :func:`normal_closure`, and the p-group frame of
-:mod:`grouplab.structure` (Phi(P), the Burnside basis and the maximal
-subgroups of P), which for a Sylow subgroup P of G runs on G's table.
+A :class:`Group` is immutable after construction.  Its element matrix,
+element list, element index and dense multiplication table are all built
+lazily, each at most once.  They exist only for groups whose order is at
+most the enumeration cap: :meth:`Group.order` enumerates such a group by
+coset enumeration (:func:`_enumerate`, Dimino's algorithm), and only a
+larger group builds a stabilizer chain (Schreier-Sims), for its order and
+membership; above the cap the element list and the table raise
+:class:`EnumerationCapError`.  The table is built on the element index, so
+every enumerable group gets its table, and every operation that needs
+element data runs on it.  Two constructions have a second path, on
+generators, which needs no table, for groups above ``DEFAULT_TABLE_CAP``
+or above their enumeration cap (:func:`_on_table`): :func:`normal_closure`,
+and the p-group frame of :mod:`grouplab.structure` (Phi(P), the Burnside
+basis and the maximal subgroups of P), which for a Sylow subgroup P of G
+runs on G's table.
 
 Element data are NumPy arrays with one input, the element matrix (one row
 of images per element, rows in canonical order).  A group derived from an
-enumerated one is given its matrix and builds no stabilizer chain: a
-subgroup takes its parent's rows, G/N is read off G's coset table, its
-own table included.  Other groups enumerate theirs as the products of the
-stabilizer-chain transversals.  :class:`Permutation` objects are made from
-rows only at the API boundary.  An element is fixed by its images of a
-base, so the element index looks elements up by those images, and the
-multiplication table and the inverses are built by one vectorised lookup
-per block of products.
+enumerated one is given its matrix and enumerates nothing: a subgroup
+takes its parent's rows, G/N is read off G's coset table, its own table
+included.  Other groups enumerate theirs from their generators.
+:class:`Permutation` objects are made from rows only at the API boundary.
+An element is fixed by its images of a base, so the element index looks
+elements up by those images, and the multiplication table and the inverses
+are built by one vectorised lookup per block of products.
 
 Element sets of subgroups are manipulated as bitmasks over the parent
 group's canonical element index (elements sorted lexicographically by image
@@ -32,6 +33,7 @@ array, so index 0 is always the identity).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -144,6 +146,74 @@ def _build_bsgs(degree: int, generators: Sequence[Permutation]) -> list[_Level]:
     return levels
 
 
+def _enumerate(
+    degree: int, generators: Sequence[Permutation], cap: int
+) -> np.ndarray | None:
+    """The sorted element matrix of <generators>, or None as soon as more
+    than ``cap`` elements are found.
+
+    Dimino's algorithm: from the powers of the generator of largest order,
+    each further generator s extends the group H built so far to <H, s> by
+    right cosets H·r.  The representatives r, from s, are closed under
+    right multiplication by the generators so far, which permutes the right
+    cosets of H: a product r * t lies in a coset already found, which is
+    wholly in the set of elements so far, or in a new one, disjoint from
+    it.  So each product needs one membership test, a set lookup of its
+    row's bytes, and a new coset H·r is one gathered block ``r[H]`` (h * r
+    has images r[h]).  The representatives are taken a generation at a
+    time, so the gathers and key extractions run once per generation.
+
+    Rows are held as uint8 up to degree 256 and as wider unsigned integers
+    above, and a row's key is its bytes.  The rows found are sorted into
+    the canonical (lexicographic) order at the end.
+    """
+    rdt = np.dtype(
+        np.uint8 if degree <= 256 else np.uint16 if degree <= 1 << 16 else np.uint32
+    )
+    kv = np.dtype((np.void, degree * rdt.itemsize))
+
+    def keys_of(rows: np.ndarray) -> list[bytes]:
+        return rows.reshape(-1, degree).view(kv).ravel().tolist()
+
+    order_of = {g: g.order() for g in generators}
+    gens = sorted(order_of, key=order_of.get, reverse=True)
+    top = order_of[gens[0]] if gens else 1
+    if top > cap:
+        return None
+    gmat = np.array([g.images for g in gens], dtype=rdt).reshape(-1, degree)
+    powers = [np.arange(degree, dtype=rdt)]
+    for _ in range(1, top):
+        powers.append(gmat[0][powers[-1]])
+    blocks = [np.array(powers)]
+    keys = set(keys_of(blocks[0]))
+    for i in range(1, len(gens)):
+        if gmat[i].tobytes() in keys:
+            continue
+        H = np.concatenate(blocks)
+        h = len(H)
+        new = gmat[i : i + 1]
+        while len(new):
+            cosets = np.take(new, H, axis=1)
+            ck = keys_of(cosets)
+            # H's first row is the identity, so ck[c * h] is new[c]'s key;
+            # of several products in one new coset only the first is kept
+            taken = []
+            for c in range(len(new)):
+                if ck[c * h] not in keys:
+                    taken.append(c)
+                    keys.update(ck[c * h : (c + 1) * h])
+                    if len(keys) > cap:
+                        return None
+            if len(taken) < len(new):
+                new, cosets = new[taken], cosets[taken]
+            blocks.append(cosets.reshape(-1, degree))
+            prods = np.take(gmat[: i + 1], new, axis=1).reshape(-1, degree)
+            fresh = [j for j, k in enumerate(keys_of(prods)) if k not in keys]
+            new = prods[fresh]
+    rows = np.concatenate(blocks)
+    return rows[np.lexsort(rows.T[::-1])].astype(np.int32)
+
+
 class Group:
     """A finite permutation group on the points {0..degree-1}.
 
@@ -161,6 +231,8 @@ class Group:
     ):
         if degree < 1:
             raise ValueError("degree must be positive")
+        if enum_cap < 1:
+            raise ValueError(f"enum_cap must be at least 1, not {enum_cap}")
         gens = []
         seen = set()
         for g in generators:
@@ -194,11 +266,16 @@ class Group:
         return self._levels
 
     def order(self) -> int:
+        """|G|: the length of the element matrix, which a group of at most
+        ``enum_cap`` elements enumerates here (``_enumerate``); only a
+        larger group builds its stabilizer chain, whose orbit sizes
+        multiply to the order."""
         if self._order is None:
-            n = 1
-            for lv in self._bsgs():
-                n *= len(lv.transversal)
-            self._order = n
+            self._emat = _enumerate(self.degree, self.generators, self.enum_cap)
+            if self._emat is not None:
+                self._order = len(self._emat)
+            else:
+                self._order = math.prod(len(lv.transversal) for lv in self._bsgs())
         return self._order
 
     def __len__(self) -> int:
@@ -213,8 +290,11 @@ class Group:
         return not self.generators
 
     def contains(self, g: Permutation) -> bool:
+        """Membership: by the element index when G is enumerable, else by
+        sifting g through the stabilizer chain."""
         if g.degree != self.degree:
             return False
+        self.order()
         if self._emat is not None:
             return self._find(g) >= 0
         h = g
@@ -243,26 +323,17 @@ class Group:
 
     def _matrix(self) -> np.ndarray:
         """The element matrix ``_emat``, which a group derived from an
-        enumerated one is given and any other builds here: the products of
-        the stabilizer-chain transversals, one level at a time from the
-        deepest, rows sorted.  Raises EnumerationCapError when the order
-        exceeds the cap.
+        enumerated one is given and any other builds in :meth:`order`.
+        Raises EnumerationCapError when the order exceeds the cap.
         """
+        n = self.order()
         if self._emat is None:
-            n = self.order()
-            if n > self.enum_cap:
-                raise EnumerationCapError(
-                    f"group of order {n} too large to enumerate "
-                    f"(enumeration cap {self.enum_cap})",
-                    cap=self.enum_cap,
-                    size=n,
-                )
-            emat = np.arange(self.degree, dtype=np.int32)[None, :]
-            for lv in reversed(self._bsgs()):
-                u = np.array([t.images for t in lv.transversal.values()], np.int32)
-                # x * u has images u[x]
-                emat = u[:, emat].reshape(-1, self.degree)
-            self._emat = emat[np.lexsort(emat.T[::-1])]
+            raise EnumerationCapError(
+                f"group of order {n} too large to enumerate "
+                f"(enumeration cap {self.enum_cap})",
+                cap=self.enum_cap,
+                size=n,
+            )
         return self._emat
 
     def _ensure_index(self) -> None:
@@ -614,10 +685,11 @@ def normal_closure(G: Group, H: Group) -> Group:
 
     On the table path (:func:`_on_table`) it is closed on G's table
     (:func:`_normal_closure_indices`); otherwise the conjugates of H's
-    generators are added on the stabilizer chain until stable, which needs
-    neither G's element list nor its table (the derived series of S7 takes
-    milliseconds this way).  The path fixes the generators of the result,
-    and so the witness text of Phi(P).
+    generators are added until stable, each tested for membership in the
+    group generated so far (by its element index, or above the enumeration
+    cap its stabilizer chain), which needs neither G's element list nor its
+    table (the derived series of S7 takes milliseconds this way).  The path
+    fixes the generators of the result, and so the witness text of Phi(P).
     """
     _require_subgroup(G, H)
     if _on_table(G):

@@ -287,6 +287,8 @@ def run_corpus(
     check_ids = expand_checks(checks)
     if parallelism < 1:
         raise ValueError(f"parallelism must be at least 1, not {parallelism}")
+    if lattice_cap < 1:
+        raise ValueError(f"lattice_cap must be at least 1, not {lattice_cap}")
     run = partial(_run_chain, check_ids=check_ids, mode=mode, lattice_cap=lattice_cap)
     ordered = sorted(corpus, key=lambda ng: ng.name)
     pool = None

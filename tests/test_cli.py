@@ -1,8 +1,11 @@
 import json
 
+import pytest
+
 from grouplab.cli import main
 from grouplab.corpus import named_group, write_group_file
 from grouplab.groups import Group
+from grouplab.runner import run_corpus
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +178,28 @@ def test_verify_jobs_below_one_is_a_usage_error(capsys):
         code, out, err = run_cli(capsys, "verify", "--max-order", "4", "--jobs", jobs)
         assert code == 2 and out == "", jobs
         assert "usage error: parallelism must be at least 1" in err
+
+
+def test_caps_below_one_are_usage_errors(capsys):
+    """A cap below 1 would skip every record it caps and still exit 0; the
+    library refuses it, and the CLI exits 2 with nothing on stdout."""
+    for cap in ("0", "-1"):
+        for argv, name in (
+            (("--enum-cap", cap, "verify", "--max-order", "8"), "enum_cap"),
+            (("--enum-cap", cap, "info", "builtin:S4"), "enum_cap"),
+            (
+                ("--lattice-cap", cap, "verify", "--max-order", "8", "--checks", "lemmas"),
+                "lattice_cap",
+            ),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert f"usage error: {name} must be at least 1, not {cap}" in err
+        with pytest.raises(ValueError):
+            Group(3, [], enum_cap=int(cap))
+        with pytest.raises(ValueError):
+            run_corpus([named_group("S3")], ["lemmas"], lattice_cap=int(cap))
+    assert Group(3, [], enum_cap=1).order() == 1
 
 
 def test_verify_error_record_exits_nonzero(tmp_path, capsys, monkeypatch):

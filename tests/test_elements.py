@@ -174,8 +174,9 @@ NO_TABLE = {
 
 @pytest.mark.parametrize("name", sorted(NO_TABLE))
 def test_remaining_no_table_fallbacks_agree(name, monkeypatch):
-    """normal_closure on the stabilizer chain, which runs above
-    DEFAULT_TABLE_CAP, gives the table path's subgroups."""
+    """normal_closure on generators, which runs above DEFAULT_TABLE_CAP
+    and tests membership in each group it generates by that group's own
+    enumeration, gives the table path's subgroups."""
     ref = NO_TABLE[name]()
     masks = lattice_masks(ref)
     picks = masks[1 :: max(1, len(masks) // 6)]

@@ -20,7 +20,7 @@ from grouplab.corpus import (
     named_group,
     symmetric,
 )
-from grouplab.errors import EnumerationCapError
+from grouplab.errors import DEFAULT_TABLE_CAP, EnumerationCapError
 from grouplab.groups import Group, normal_closure
 from grouplab.perms import Permutation
 from grouplab.runner import run_corpus
@@ -79,12 +79,8 @@ def test_mid_size_main_report_digest():
     )
 
 
-@pytest.mark.parametrize("name", ["S4xS3", "C2^7"])
-def test_main_check_builds_one_stabilizer_chain(monkeypatch, name):
-    """On a relabelled enumerable group the main check, in every mode and
-    at every prime, runs Schreier-Sims once, for G itself: the Sylow
-    subgroup, Phi(P), its maximal subgroups and the witnesses' Sylow
-    subgroups all take G's rows."""
+def _count_chains(monkeypatch) -> list[int]:
+    """The degrees of the stabilizer chains built from now on."""
     real, chains = groups._build_bsgs, []
 
     def counting(degree, generators):
@@ -92,6 +88,16 @@ def test_main_check_builds_one_stabilizer_chain(monkeypatch, name):
         return real(degree, generators)
 
     monkeypatch.setattr(groups, "_build_bsgs", counting)
+    return chains
+
+
+@pytest.mark.parametrize("name", ["S4xS3", "C2^7"])
+def test_main_check_builds_no_stabilizer_chain(monkeypatch, name):
+    """On a relabelled enumerable group the main check, in every mode and
+    at every prime, runs no Schreier-Sims: G enumerates its elements by
+    coset enumeration, and the Sylow subgroup, Phi(P), its maximal
+    subgroups and the witnesses' Sylow subgroups all take G's rows."""
+    chains = _count_chains(monkeypatch)
     G0 = named_group(name).group
     points = list(range(G0.degree))
     points.reverse()
@@ -99,9 +105,44 @@ def test_main_check_builds_one_stabilizer_chain(monkeypatch, name):
     for p in primes_of(G0):
         for mode in HypothesisMode:
             G = Group(G0.degree, [s.inverse() * g * s for g in G0.generators])
-            chains.clear()
             verify_main(G, p, mode)
-            assert len(chains) == 1, (p, mode)
+            assert chains == [], (p, mode)
+
+
+def test_membership_in_an_enumerable_group_builds_no_stabilizer_chain(monkeypatch):
+    G0 = named_group("S4xS3").group
+    chains = _count_chains(monkeypatch)
+    G = Group(G0.degree, G0.generators)
+    assert all(G.contains(g) for g in G0.generators)
+    assert not G.contains(Permutation.parse(7, "(4 5)"))
+    assert chains == [] and G._keys is not None
+
+
+def test_a_group_above_its_enumeration_cap_builds_one_stabilizer_chain(monkeypatch):
+    """C7^7 (order 823,543): the enumeration stops past the cap, and the
+    order and membership come from one chain."""
+    E = elementary_abelian(7, 7)
+    chains = _count_chains(monkeypatch)
+    G = Group(E.degree, E.generators)
+    assert G.order() == 7**7 and G._emat is None
+    assert G.contains(E.generators[0] * E.generators[-1])
+    assert not G.contains(Permutation.parse(E.degree, "(1 8)"))
+    assert chains == [E.degree]
+
+
+@pytest.mark.parametrize("name", ["S7", "A7xC2"])
+def test_orders_between_the_table_cap_and_the_enumeration_cap(monkeypatch, name):
+    """DEFAULT_TABLE_CAP < |G| <= the enumeration cap: order() enumerates G
+    and builds no stabilizer chain and no table, and the solubility test,
+    on generators there, keeps its answer."""
+    G0 = named_group(name).group
+    chains = _count_chains(monkeypatch)
+    G = Group(G0.degree, G0.generators)
+    assert DEFAULT_TABLE_CAP < G.order() == 5040 <= G.enum_cap
+    assert chains == [] and G._table is None and G._keys is None
+    assert G._emat.shape == (5040, G.degree)
+    assert not is_soluble(G)
+    assert chains == [] and G._table is None
 
 
 def test_generator_frame_keeps_the_main_report(monkeypatch):
