@@ -2,7 +2,7 @@
 
 Sylow subgroups are built by normalizer ascent on masks over G's table, so
 they scale past the subgroup-lattice cap; the full lattice (cyclic
-extension from the soluble residual's lattice) and normal subgroups (join
+extension from 1 and the perfect subgroups) and normal subgroups (join
 closure of conjugacy-class closures) are independent constructions so that
 chief series remain available for groups whose lattice would be too
 expensive.  The lemma suites read the lattice through one record per
@@ -211,25 +211,31 @@ def all_sylow_subgroups(G: Group, p: int) -> SylowSystem:
         # 1 and G are the index prefixes of lengths 1 and |G|
         return SylowSystem(G, p, rep, [(1 << rep.order()) - 1])
 
-    def build():
-        cvecs = [G.conjugation_vector(G.element_index(g)) for g in G.generators]
-        start = G.indices_of(rep)
-        seen_masks = {mask_from_indices(start, G.order()): start}
-        queue = [start]
-        while queue:
-            idx = queue.pop(0)
-            for cv in cvecs:
-                conj = np.sort(cv[idx])
-                m = mask_from_indices(conj, G.order())
-                if m not in seen_masks:
-                    seen_masks[m] = conj
-                    queue.append(conj)
-        return sorted(seen_masks)
+    masks = _cached(G, ("sylows", p), lambda: _conjugate_masks(G, [G.indices_of(rep)]))
+    return SylowSystem(G, p, rep, masks)
 
-    return SylowSystem(G, p, rep, _cached(G, ("sylows", p), build))
+
+def _conjugate_masks(G: Group, starts: list[np.ndarray]) -> list[int]:
+    """Sorted masks of every G-conjugate of the subgroups with the element
+    indices ``starts``: their orbits under conjugation by G's generators."""
+    n = G.order()
+    cvecs = [G.conjugation_vector(G.element_index(g)) for g in G.generators]
+    seen, stack = {mask_from_indices(idx, n) for idx in starts}, list(starts)
+    while stack:
+        idx = stack.pop()
+        for conj in (cv[idx] for cv in cvecs):
+            m = mask_from_indices(conj, n)
+            if m not in seen:
+                seen.add(m)
+                stack.append(conj)
+    return sorted(seen)
 
 
 # -- the subgroup lattice ------------------------------------------------------
+
+_TWO_GENERATED_BOUND = 400
+"""Largest residual order whose perfect subgroups (A5, SL(2,5), PSL(2,7),
+SL(2,7), A6: quasisimple, so generated by lifts of a pair) are 2-generated."""
 
 
 def _cyclic_masks(G: Group, idx: np.ndarray) -> list[int]:
@@ -252,54 +258,44 @@ def _cyclic_masks(G: Group, idx: np.ndarray) -> list[int]:
     return _row_masks(block)
 
 
-def _closure_lattice(G: Group, r_idx: np.ndarray) -> set[int]:
-    """Masks of every subgroup of the subgroup R of G with the element
-    indices ``r_idx``, by layered closure: R's cyclic subgroups, then joins
-    of known subgroups with cyclic subgroups until nothing new appears.
-    For R = 1 this is {1}."""
-    n = G.order()
-    tbl = G.table()
-    cyclic_list = sorted(set(_cyclic_masks(G, r_idx[1:])))
-    idx_of = {m: indices_from_mask(m, n) for m in cyclic_list}
-    idx_of[1] = np.array([0], dtype=np.int64)
-    subs = {1, *cyclic_list}
-    frontier = sorted(subs)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            a_idx = idx_of[a]
-            for z in cyclic_list:
-                if a | z == a:
-                    continue
-                seed = np.union1d(a_idx, idx_of[z])
-                j_idx = _closure_indices(tbl, seed, closed=a_idx)
-                j = mask_from_indices(j_idx, n)
-                if j not in subs:
-                    subs.add(j)
-                    idx_of[j] = j_idx
-                    fresh.append(j)
-        frontier = fresh
-    return subs
+def _perfect_subgroup_masks(G: Group, residual: int) -> list[int]:
+    """Sorted masks of the nontrivial perfect subgroups of G, which lie in
+    the soluble residual R (mask ``residual``).  While |R| is at most
+    ``_TWO_GENERATED_BOUND`` each is conjugate to some <x, y>, x the least
+    element of a G-class inside R and y in R; the closures with at least
+    three prime divisors (p^a q^b is soluble) that are their own derived
+    subgroup are kept, with their conjugates."""
+    from .solubility import derived_series_masks  # solubility imports structure
+
+    if residual == 1:
+        return []
+    n, tbl = G.order(), G.table()
+    xs = [c[0] for c in _conjugacy_class_indices(G)[1:] if residual >> int(c[0]) & 1]
+    pairs = product(xs, indices_from_mask(residual, n))
+    found = {mask_from_indices(_closure_indices(tbl, np.array(xy)), n) for xy in pairs}
+    perfect = [
+        indices_from_mask(k, n)
+        for k in found
+        if len(prime_factors(k.bit_count())) >= 3 and derived_series_masks(G, k) == [k]
+    ]
+    return _conjugate_masks(G, perfect)
 
 
 def lattice_masks(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
     """Element-set bitmasks of every subgroup of G, sorted by (order, mask).
 
-    Built by cyclic extension (Neubüser) from the lattice of the soluble
-    residual R = G^(∞), the last term of the derived series.  R's own
-    subgroups come from a layered closure over R's cyclic subgroups
-    (just {1} when G is soluble).  Every other subgroup H has H^(∞) <= R
-    and H/H^(∞) soluble, so it is K<g> for some known K normal of prime
-    index p in it, with g in N_G(K) and g^p in K.  So for each subgroup K
-    found, the right cosets Kx inside N_G(K) are labelled by their least
-    element in one gather; each coset minimum g outside K with g^p in K
-    (p-th powers precomputed for every prime of |G|) gives K<g>, the union
-    of the cosets Kg^i for i < p, built once, from the least coset minimum
-    it contains.  When N_G(K) <= R, every such K<g> is already in R's
-    lattice.  Each member's normalizer stays in G's cache under
-    ``("normalizer", mask)``, where ``_lattice`` reads the normal ones; a
-    member containing the derived subgroup G' is normal, so its entry is G
-    without a scan.
+    Built by cyclic extension (Neubüser) from 1 and the perfect subgroups
+    (``_perfect_subgroup_masks``; a soluble residual R = G^(∞) above
+    ``_TWO_GENERATED_BOUND`` raises ``LatticeCapError``).  Every other
+    subgroup H is K<g> for some K normal of prime index p in H, with g in
+    N_G(K) and g^p in K.  So for each subgroup K found, the right cosets
+    Kx inside N_G(K) are labelled by their least element in one gather;
+    each coset minimum g outside K with g^p in K (p-th powers precomputed
+    for every prime of |G|) gives K<g>, the union of the cosets Kg^i for
+    i < p, built once, from the least coset minimum it contains.  Each
+    member's normalizer stays in G's cache under ``("normalizer", mask)``,
+    where ``_lattice`` reads the normal ones; a member containing the
+    derived subgroup G' is normal, so its entry is G without a scan.
     """
     n = G.order()
     if n > lattice_cap:
@@ -312,6 +308,13 @@ def lattice_masks(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[int]
     def build():
         from .solubility import derived_series_masks  # solubility imports structure
 
+        derived = derived_series_masks(G)
+        commutator = derived[1] if len(derived) > 1 else derived[0]  # G'
+        residual = derived[-1]
+        if (r := residual.bit_count()) > _TWO_GENERATED_BOUND:
+            msg = f"soluble residual of order {r} exceeds {_TWO_GENERATED_BOUND}, "
+            msg += "past which its perfect subgroups may not be 2-generated"
+            raise LatticeCapError(msg, cap=_TWO_GENERATED_BOUND, size=r)
         tbl = G.table()
         ident = np.arange(n)
         powers = {}
@@ -320,10 +323,7 @@ def lattice_masks(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[int]
             for _ in range(p - 1):
                 x = tbl[x, ident]
             powers[p] = x
-        derived = derived_series_masks(G)
-        commutator = derived[1] if len(derived) > 1 else derived[0]  # G'
-        residual = derived[-1]
-        subs = _closure_lattice(G, indices_from_mask(residual, n))
+        subs = {1, *_perfect_subgroup_masks(G, residual)}
         queue = list(subs)
         label = np.zeros(n, dtype=np.int64)
         while queue:
@@ -331,7 +331,7 @@ def lattice_masks(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> list[int]
             if k & commutator == commutator:  # K >= G' is normal
                 _cached(G, ("normalizer", k), lambda: (1 << n) - 1)
             nk = _normalizer_mask(G, k)
-            if nk == k or nk | residual == residual:
+            if nk == k:
                 continue
             k_idx = indices_from_mask(k, n)
             n_idx = indices_from_mask(nk, n)

@@ -4,7 +4,10 @@ Everything here works directly on element lists (Python sets of
 Permutation) with no strong-generating structure, no bitmasks and no
 multiplication tables, so it is a genuinely independent cross-check of the
 library's fast paths.  It is intentionally slow and only suitable for
-groups of modest order.
+groups of modest order.  The one exception is ``closure_lattice``, the
+layered closure on G's table that built the library's lattices before
+cyclic extension from perfect seeds; it is the lattice reference for
+groups too large for ``all_subgroups``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,11 @@ import math
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
+
+from grouplab.groups import _closure_indices, indices_from_mask, mask_from_indices
 from grouplab.perms import Permutation
+from grouplab.structure import _cyclic_masks
 
 
 def closure(degree: int, gens) -> frozenset[Permutation]:
@@ -74,6 +81,35 @@ def all_subgroups(degree: int, G: frozenset) -> set[frozenset]:
                     nxt.append(J)
         frontier = nxt
     return subs
+
+
+def closure_lattice(G) -> list[int]:
+    """Masks over G's index of every subgroup of G, sorted by (order, mask),
+    by layered closure on G's table: the cyclic subgroups, then joins of
+    known subgroups with cyclic subgroups until nothing new appears."""
+    n = G.order()
+    tbl = G.table()
+    cyclic_list = sorted(set(_cyclic_masks(G, np.arange(1, n))))
+    idx_of = {m: indices_from_mask(m, n) for m in cyclic_list}
+    idx_of[1] = np.array([0], dtype=np.int64)
+    subs = {1, *cyclic_list}
+    frontier = sorted(subs)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            a_idx = idx_of[a]
+            for z in cyclic_list:
+                if a | z == a:
+                    continue
+                seed = np.union1d(a_idx, idx_of[z])
+                j_idx = _closure_indices(tbl, seed, closed=a_idx)
+                j = mask_from_indices(j_idx, n)
+                if j not in subs:
+                    subs.add(j)
+                    idx_of[j] = j_idx
+                    fresh.append(j)
+        frontier = fresh
+    return sorted(subs, key=lambda m: (m.bit_count(), m))
 
 
 def conjugate_set(S: frozenset, g: Permutation) -> frozenset:

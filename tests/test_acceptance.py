@@ -5,6 +5,7 @@ per criterion.  The corpus-wide runs are shared module-scoped fixtures;
 the whole module is the slow part of the suite (several minutes).
 """
 
+import hashlib
 import random
 import time
 
@@ -151,6 +152,17 @@ def test_criterion_4_lemma_suites(lemmas120):
         f"lemma-2.1(6) instances={instances_216} (>= 100), "
         f"lemma-2.2(3) instances={instances_223} (>= 100)",
     )
+
+
+LEMMAS120_DIGEST = "dc0a3c48380aa9694baefac0f6333494a9699b8f323676dc860aa1a578aa0457"
+
+
+def test_lemma_report_120_digest(lemmas120):
+    """The rendered lemma report over corpus(120), pinned by SHA-256 like
+    ``test_report_digest.py`` pins the smaller corpora: its lattices of S5,
+    A5 x C2 and the other groups of order above 64 are checked here."""
+    text = lemmas120.render()
+    assert hashlib.sha256(text.encode()).hexdigest() == LEMMAS120_DIGEST
 
 
 def test_criterion_5_predicate_separation(lemmas120):

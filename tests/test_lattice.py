@@ -1,11 +1,11 @@
-"""The subgroup lattice by cyclic extension from the soluble residual,
-against the element-list oracle of ``tests/naive.py`` and the layered
-closure it replaced, plus a digest that pins the lattices of a fixed
-corpus and guards on which work a lattice does."""
+"""The subgroup lattice by cyclic extension from {1} and the perfect
+subgroups, against the element-list oracle of ``tests/naive.py`` and the
+layered closure it replaced (``naive.closure_lattice``), plus digests that
+pin the lattices of a fixed corpus, of A6 and of A5 x S3, and guards on
+which work a lattice does."""
 
 import hashlib
 
-import numpy as np
 import pytest
 
 import naive
@@ -20,13 +20,14 @@ from grouplab.corpus import (
     named_group,
     symmetric,
 )
-from grouplab.errors import DEFAULT_LATTICE_CAP
+from grouplab.errors import DEFAULT_LATTICE_CAP, LatticeCapError
 from grouplab.groups import Group, is_subnormal, quotient
+from grouplab.perms import Permutation
 from grouplab.runner import run_corpus
 from grouplab.solubility import derived_series_masks
 from grouplab.structure import (
-    _closure_lattice,
     _lattice,
+    _perfect_subgroup_masks,
     lattice_masks,
     normal_subgroup_masks,
 )
@@ -97,7 +98,7 @@ def test_soluble_lattice_makes_no_joins(monkeypatch, make):
     assert derived_series_masks(G)[-1] == 1
     masks = lattice_masks(G)
     assert calls["join"] == 0
-    assert masks == by_order(_closure_lattice(G, np.arange(G.order())))
+    assert masks == naive.closure_lattice(G)
 
 
 @pytest.mark.parametrize(
@@ -108,17 +109,102 @@ def test_soluble_lattice_makes_no_joins(monkeypatch, make):
     ],
 )
 def test_insoluble_lattice_extends_the_residual(monkeypatch, make, count):
-    """The residual A5 is seeded by the layered closure over its own
-    cyclic subgroups; cyclic extension reaches the subgroups outside it."""
+    """The residual A5 is the one perfect seed besides 1, found among the
+    closures <x, y>; cyclic extension reaches every other subgroup, the 58
+    proper subgroups of A5 included."""
     calls = count_joins(monkeypatch)
     G = make()
     residual = derived_series_masks(G)[-1]
     assert residual.bit_count() == 60
+    assert _perfect_subgroup_masks(G, residual) == [residual]
     masks = lattice_masks(G)
     assert calls["join"] > 0
     assert len(masks) == count
     assert sum(1 for m in masks if m | residual == residual) == 59
-    assert masks == by_order(_closure_lattice(G, np.arange(G.order())))
+    assert masks == naive.closure_lattice(G)
+
+
+def psl27() -> Group:
+    """PSL(2,7) = GL(3,2), order 168, on the 7 points of the Fano plane."""
+    return Group(
+        7, [Permutation.parse(7, "(1 2 3 4 5 6 7)"), Permutation.parse(7, "(1 2)(3 6)")]
+    )
+
+
+def sl25() -> Group:
+    """SL(2,5), order 120, on the 24 nonzero vectors of F_5^2, generated
+    by [[1,1],[0,1]] and [[0,-1],[1,0]]."""
+    vecs = [(a, b) for a in range(5) for b in range(5) if (a, b) != (0, 0)]
+    pos = {v: i for i, v in enumerate(vecs)}
+
+    def act(m):
+        (a, b), (c, d) = m
+        return Permutation([pos[(a * x + b * y) % 5, (c * x + d * y) % 5] for x, y in vecs])
+
+    return Group(24, [act(((1, 1), (0, 1))), act(((0, -1), (1, 0)))])
+
+
+@pytest.mark.parametrize(
+    "make", [pytest.param(sl25, id="SL(2,5)"), pytest.param(psl27, id="PSL(2,7)")]
+)
+def test_perfect_group_lattice_against_closure(make):
+    """Perfect groups, each its own residual and its one perfect seed
+    besides 1.  SL(2,5) is not simple: its centre of order 2 is a
+    non-perfect member inside R, which cyclic extension must reach from 1.
+    Each lattice equals the layered closure's."""
+    G = make()
+    full = (1 << G.order()) - 1
+    assert derived_series_masks(G) == [full]
+    assert _perfect_subgroup_masks(G, full) == [full]
+    assert lattice_masks(G) == naive.closure_lattice(G)
+
+
+PINNED_LATTICES = {
+    "A6": (501, "51b7110fc2914b35683b7ea82fc75d2da29498a7615530305956127c50365d67"),
+    "A5xS3": (628, "01e321f0c9e60b905c1c90f1a29812849f230053a3d145136bb4a3d770f30def"),
+}
+
+
+@pytest.mark.parametrize(
+    "name,make,perfect",
+    [
+        pytest.param("A6", lambda: alternating(6), [60] * 12 + [360], id="A6"),
+        pytest.param(
+            "A5xS3", lambda: direct_product(alternating(5), symmetric(3)), [60], id="A5xS3"
+        ),
+    ],
+)
+def test_lattice_is_pinned(name, make, perfect):
+    """Lattices of order 360, too large for the layered closure in a test
+    run: the member count and a SHA-256 of the masks, taken from the
+    layered closure of the residual that the perfect seeds replaced.  A6's
+    perfect subgroups are A6 and its two classes of six A5 each."""
+    G = make()
+    masks = lattice_masks(G)
+    digest = hashlib.sha256(str([hex(m) for m in masks]).encode()).hexdigest()
+    assert (len(masks), digest) == PINNED_LATTICES[name]
+    residual = derived_series_masks(G)[-1]
+    assert sorted(m.bit_count() for m in _perfect_subgroup_masks(G, residual)) == perfect
+
+
+def test_residual_above_the_two_generated_bound_is_refused(monkeypatch):
+    """The perfect seeds are complete only for a residual of order at most
+    the bound; past it the lattice is refused, and a corpus run records the
+    lemma parts that need G's lattice as skips.  Lemma 2.3 falls back to
+    the lattices of the Sylow subgroups and says it sampled."""
+    monkeypatch.setattr(structure, "_TWO_GENERATED_BOUND", 59)
+    with pytest.raises(LatticeCapError, match="soluble residual of order 60"):
+        lattice_masks(alternating(5))
+    report = run_corpus([named_group("A5")], ["lemmas"])
+    assert [r.check for r in report.records] == [
+        "lemma-2.1", "lemma-2.2", "lemma-2.3", "lemma-2.4"
+    ]
+    for r in report.records:
+        if r.check == "lemma-2.3":
+            assert r.skipped is None and r.witnesses["sampled"] is True
+        else:
+            assert r.status.startswith("skipped:soluble residual of order 60")
+    assert report.skipped == 3 and report.failed == 0
 
 
 def test_derived_series_masks():
