@@ -231,7 +231,6 @@ def _run_task(key, thunk) -> list[VerificationRecord]:
             prime=prime or None,
             hypothesis=None,
             conclusion=None,
-            violated=False,
             skipped=skipped,
             witnesses=witnesses,
             error=error,

@@ -26,7 +26,6 @@ from .groups import (
     _closure_indices,
     _mask_rows,
     _on_table,
-    _row_masks,
     indices_from_mask,
     mask_from_indices,
     normal_closure,
@@ -35,6 +34,7 @@ from .groups import (
 from .structure import (
     _element_orders,
     _normal_atom_masks,
+    _normal_joins,
     _normal_sylow_mask,
     is_prime,
     p_part,
@@ -66,15 +66,14 @@ def chief_series(G: Group) -> ChiefSeries:
     The atoms are the rows of one bool block over G's index, so |A∩N| for
     every atom is one count over N's columns, and the order of every join
     follows as |N||A|/|N∩A|.  Only the joins of least order are built,
-    all into one block (in slices of at most 2^18 products or entries), and
-    each must have exactly that order.
+    all into one block (``structure._normal_joins``), and each must have
+    exactly that order.
 
     G's cache keeps the masks and factor orders without G itself, so that
     it makes no reference cycle and a dropped G is freed at once."""
 
     def build():
         n = G.order()
-        tbl = G.table()
         atoms = _mask_rows(_normal_atom_masks(G), n)
         sizes = atoms.sum(axis=1)
         cur_idx = np.zeros(1, dtype=np.int64)
@@ -82,19 +81,9 @@ def chief_series(G: Group) -> ChiefSeries:
         while len(cur_idx) < n:
             meet = np.count_nonzero(atoms[:, cur_idx], axis=1)
             orders = np.where(meet < sizes, len(cur_idx) * sizes // meet, n + 1)
-            least = orders.min()
-            built = []
-            rows = np.flatnonzero(orders == least)
-            step = max(1, (1 << 18) // max(n, len(cur_idx) * int(sizes[rows].max())))
-            for lo in range(0, len(rows), step):
-                part = atoms[rows[lo : lo + step]]
-                r, a_idx = np.nonzero(part)
-                block = np.zeros_like(part)
-                block[r, tbl[cur_idx[:, None], a_idx]] = True
-                if (block.sum(axis=1) != least).any():
-                    raise AssertionError("|NA| != |N||A|/|N∩A| for normal N, A")
-                built += _row_masks(block)
-            cur = min(built)
+            least = orders == orders.min()
+            joins = _normal_joins(G, cur_idx, atoms[least], sizes[least], orders[least])
+            cur = min(joins)
             cur_idx = indices_from_mask(cur, n)
             masks.insert(0, cur)
         factors = [a.bit_count() // b.bit_count() for a, b in zip(masks, masks[1:])]

@@ -2,11 +2,12 @@
 
 Sylow subgroups are built by normalizer ascent on masks over G's table, so
 they scale past the subgroup-lattice cap; the full lattice (cyclic
-extension from 1 and the perfect subgroups) and normal subgroups (join
-closure of conjugacy-class closures) are independent constructions so that
-chief series remain available for groups whose lattice would be too
-expensive.  The lemma suites read the lattice through one record per
-group, ``_lattice``: rows, members by order, and the normal members.
+extension from 1 and the perfect subgroups) and normal subgroups (a
+search over joins of conjugacy-class closures) are independent
+constructions so that chief series remain available for groups whose
+lattice would be too expensive.  The lemma suites read the lattice
+through one record per group, ``_lattice``: rows, members by order, and
+the normal members.
 
 Maximal subgroups of a p-group P are the preimages of the hyperplanes of
 the elementary abelian quotient P/Phi(P); the generator-number d satisfies
@@ -378,7 +379,8 @@ class _Lattice:
 def _lattice(G: Group, lattice_cap: int = DEFAULT_LATTICE_CAP) -> _Lattice:
     """G's lattice record, kept in G's cache; ``lattice_masks`` checks the
     cap on every call.  The normal members are those whose normalizer,
-    cached while the lattice was built, is G: no join closure is run."""
+    cached while the lattice was built, is G: no normal-subgroup search
+    is run."""
     masks = lattice_masks(G, lattice_cap)
 
     def build():
@@ -481,34 +483,54 @@ def _normal_atom_masks(G: Group) -> list[int]:
     return _cached(G, "normal_atoms", build)
 
 
-def normal_subgroup_masks(G: Group) -> list[int]:
-    """Masks of all normal subgroups: join closure of the normal closures
-    of single conjugacy classes.  Independent of the full lattice; the
-    lemma suites read the same list from ``_lattice(G).normal``.
+def _normal_joins(
+    G: Group, n_idx: np.ndarray, atoms: np.ndarray, sizes: np.ndarray, orders
+) -> list[int]:
+    """Masks of the joins N∨A of the normal subgroup N, with sorted index
+    array ``n_idx``, with the normal subgroups A in the rows of the bool
+    block ``atoms``, in row order; ``sizes`` holds each |A| and ``orders``
+    each |N||A|/|N∩A|, which the callers count over N's columns.
 
-    A join of normal N and A is the product set NA, built one-sided; it
-    must have exactly |N||A|/|N∩A| members."""
+    N and A are normal, so N∨A is the product set NA: all rows are built
+    one-sided into one block, in slices of at most 2^18 products or
+    entries, and each must have exactly its order."""
+    tbl = G.table()
+    step = max(1, (1 << 18) // max(G.order(), len(n_idx) * int(sizes.max())))
+    joins = []
+    for lo in range(0, len(atoms), step):
+        part = atoms[lo : lo + step]
+        r, a_idx = np.nonzero(part)
+        block = np.zeros_like(part)
+        block[r, tbl[n_idx[:, None], a_idx]] = True
+        if (block.sum(axis=1) != orders[lo : lo + step]).any():
+            raise AssertionError("|NA| != |N||A|/|N∩A| for normal N, A")
+        joins += _row_masks(block)
+    return joins
+
+
+def normal_subgroup_masks(G: Group) -> list[int]:
+    """Masks of all normal subgroups, sorted by (order, mask): every one is
+    a join of normal atoms (``_normal_atom_masks``), so a search from 1 in
+    which each new N joins every atom not inside it, in one block
+    (``_normal_joins``), finds them all.  Independent of the full lattice;
+    the lemma suites read the same list from ``_lattice(G).normal``."""
 
     def build():
-        tbl = G.table()
         n = G.order()
-        result = {1}
-        idx_of = {1: np.array([0], dtype=np.int64)}
-        for a in _normal_atom_masks(G):
-            a_idx = indices_from_mask(a, n)
-            additions = {}
-            for r in result:
-                if r | a == r:
-                    continue
-                j_idx = np.unique(tbl[idx_of[r][:, None], a_idx])
-                if len(j_idx) != r.bit_count() * len(a_idx) // (r & a).bit_count():
-                    raise AssertionError("|NA| != |N||A|/|N∩A| for normal N, A")
-                additions[mask_from_indices(j_idx, n)] = j_idx
-            for m, j_idx in additions.items():
-                if m not in result:
-                    result.add(m)
-                    idx_of[m] = j_idx
-        return sorted(result, key=lambda m: (m.bit_count(), m))
+        atoms = _mask_rows(_normal_atom_masks(G), n)
+        sizes = atoms.sum(axis=1)
+        found, todo = {1}, [1]
+        while todo:
+            n_idx = indices_from_mask(todo.pop(), n)
+            meet = np.count_nonzero(atoms[:, n_idx], axis=1)
+            out = meet < sizes
+            if out.any():
+                orders = len(n_idx) * sizes[out] // meet[out]
+                joins = _normal_joins(G, n_idx, atoms[out], sizes[out], orders)
+                new = set(joins) - found
+                found |= new
+                todo += new
+        return sorted(found, key=lambda m: (m.bit_count(), m))
 
     return _cached(G, "normal_masks", build)
 
@@ -523,7 +545,7 @@ def minimal_normal_subgroups(G: Group) -> list[Group]:
 
     Any nontrivial normal subgroup contains the closure of a class of one
     of its elements, so the minimal normal subgroups are exactly the
-    minimal class closures; the expensive join closure is not needed.
+    minimal class closures; the search over joins is not needed.
     """
     atoms = _normal_atom_masks(G)
     minimal = [

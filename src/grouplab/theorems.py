@@ -16,8 +16,24 @@ Both shortcuts are differential-tested against direct family enumeration.
 Lemma suites enumerate their quantified instances from G's lattice
 record (``structure._lattice``), whose normal members are the kernels N
 and whose members of one order hold the Sylow subgroups and complements
-sought.  Each part stops at a fixed deterministic instance budget and
-flags the record as sampled when it does; counts are always reported.
+sought.  Each suite is a private generator that yields its parts in order
+to one driver (``_run_parts``), which builds their records.  A part keeps
+the first PART_BUDGET instances and is flagged sampled when one more
+exists (``_budgeted``); counts are always reported.  Three kinds of part
+keep an older rule, since their sampled flags differ from it and pinned
+report digests fix them: the restriction parts (2.1.2, 2.2.1) check the
+budget once per subgroup and flag sampled at its third overgroup; 2.2.3
+and 2.4 check the budget before their filters; the quotient parts (2.1.4,
+2.2.2) cut each G/N block to the budget left, so no extra quotient is
+built.
+
+Every record is built, and its ``elapsed`` taken, by ``_record``.  A
+single-record check is timed over its whole call.  A lemma part is timed
+from the end of the previous record of its suite, the first from the
+call's start, so the first carries the lattice and predicate-vector setup
+and a suite's records sum to its time; the sweeps' per-check latency is
+that sum over one runner task.
+
 Subgroups are the lattice's bitmasks over G's element index throughout,
 and every predicate, closure and core is computed on G's own table; G/N
 is built only as the quotient group itself.  The permutability predicates
@@ -31,6 +47,7 @@ from __future__ import annotations
 
 import copy
 import time
+from itertools import combinations, islice, product
 from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
@@ -108,18 +125,16 @@ class VerificationRecord:
     prime: int | None
     hypothesis: bool | None
     conclusion: bool | None
-    violated: bool
     skipped: str | None = None
     witnesses: dict = field(default_factory=dict)
     elapsed: float = 0.0
     error: str | None = None  # exception type name when the check raised
 
-    def __post_init__(self):
-        if self.skipped is None and self.violated:
-            if not (self.hypothesis and not self.conclusion):
-                raise AssertionError(
-                    "violated records require hypothesis and failed conclusion"
-                )
+    @property
+    def violated(self) -> bool:
+        """The hypothesis holds and the conclusion fails.  Skipped and
+        error records have no hypothesis, so they are never violated."""
+        return bool(self.hypothesis) and not self.conclusion
 
     @property
     def status(self) -> str:
@@ -128,6 +143,19 @@ class VerificationRecord:
         if self.error is not None:
             return f"error:{self.error}"
         return "VIOLATED" if self.violated else "ok"
+
+
+def _record(
+    check: str, group_name: str, prime: int | None, hypothesis: bool,
+    conclusion: bool, witnesses: dict, start: float | None,
+) -> VerificationRecord:
+    """The record of one check, timed from ``start`` to now (0.0 without a
+    start, for a record whose work another record already counts)."""
+    elapsed = 0.0 if start is None else time.perf_counter() - start
+    return VerificationRecord(
+        check, group_name, prime, hypothesis, conclusion,
+        witnesses=witnesses, elapsed=elapsed,
+    )
 
 
 def _fmt_group(H: Group) -> str:
@@ -232,55 +260,42 @@ def verify_main(
 
     hyp, hw, concl, cw = _cached(G, ("main", p, mode), build)
     wit = copy.deepcopy({"hypothesis": hw, "conclusion": cw})
-    return VerificationRecord(
-        check="main",
-        group=group_name,
-        prime=p,
-        hypothesis=hyp,
-        conclusion=concl,
-        violated=hyp and not concl,
-        witnesses=wit,
-        elapsed=time.perf_counter() - t0,
-    )
+    return _record("main", group_name, p, hyp, concl, wit, t0)
 
 
 # -- lemma suites ----------------------------------------------------------------
 
 
-def _part_record(
-    check: str,
-    group_name: str,
-    prime: int | None,
-    instances: list[tuple[bool, Callable[[], dict]]],
-    sampled: bool,
-    t0: float,
-    extra: dict | None = None,
-) -> VerificationRecord:
-    """Aggregate per-instance (holds, detail thunk) pairs.
+def _run_parts(group_name: str, parts) -> list[VerificationRecord]:
+    """The records of a lemma suite's parts, which ``parts`` yields in
+    order as (check, instances, sampled[, extra]).
 
-    Every instance's premise holds by construction; only the first
-    counterexample's detail is built.
+    Each instance is a (holds, detail thunk) pair whose premise holds by
+    construction; only the first counterexample's detail is built.  A
+    record is timed from the end of the previous one, the first from this
+    call's start, so the first carries the suite's setup and the records
+    sum to the call's time.
     """
-    bad = next((detail for holds, detail in instances if not holds), None)
-    wit = {
-        "instances": len(instances),
-        "premise_held": len(instances),
-        "sampled": sampled,
-    }
-    if extra:
-        wit.update(extra)
-    if bad is not None:
-        wit["counterexample"] = bad()
-    return VerificationRecord(
-        check=check,
-        group=group_name,
-        prime=prime,
-        hypothesis=bool(instances),
-        conclusion=bad is None,
-        violated=bool(instances) and bad is not None,
-        witnesses=wit,
-        elapsed=time.perf_counter() - t0,
-    )
+    records = []
+    start = time.perf_counter()
+    for check, instances, sampled, *extra in parts:
+        bad = next((detail for holds, detail in instances if not holds), None)
+        n = len(instances)
+        wit = {"instances": n, "premise_held": n, "sampled": sampled}
+        wit.update(*extra)
+        if bad is not None:
+            wit["counterexample"] = bad()
+        rec = _record(check, group_name, None, bool(instances), bad is None, wit, start)
+        records.append(rec)
+        start += rec.elapsed
+    return records
+
+
+def _budgeted(items) -> tuple[list, bool]:
+    """The first PART_BUDGET of ``items``, and whether one more exists,
+    which makes the part sampled."""
+    head = list(islice(items, PART_BUDGET + 1))
+    return head[:PART_BUDGET], len(head) > PART_BUDGET
 
 
 def _detail(G: Group, subgroups: dict[str, int], **plain) -> Callable[[], dict]:
@@ -384,42 +399,32 @@ def verify_lemma_2_1(
     G: Group, group_name: str = "?", lattice_cap: int = DEFAULT_LATTICE_CAP
 ) -> list[VerificationRecord]:
     """The six closure properties of permuting-with-all-Sylows subgroups."""
-    t0 = time.perf_counter()
+    return _run_parts(group_name, _lemma_2_1_parts(G, lattice_cap))
+
+
+def _lemma_2_1_parts(G: Group, lattice_cap: int):
     lat = _lattice(G, lattice_cap)
     full = (1 << G.order()) - 1
     sperm = _lattice_predicate(G, False, lat).tolist()
     sp = [m for m, ok in zip(lat.masks, sperm) if ok]
-    records = []
 
     # (1) s-permutable implies subnormal
-    inst = [
-        (is_subnormal(G, m), _detail(G, {"subgroup": m})) for m in sp[:PART_BUDGET]
-    ]
-    sampled = len(sp) > PART_BUDGET
-    records.append(
-        _part_record("lemma-2.1.1", group_name, None, inst, sampled, t0)
-    )
+    take, sampled = _budgeted(sp)
+    inst = [(is_subnormal(G, m), _detail(G, {"subgroup": m})) for m in take]
+    yield "lemma-2.1.1", inst, sampled
 
     # (2) restriction to intermediate subgroups, sampled
-    t0 = time.perf_counter()
-    inst, sampled = _restriction_part(G, lat, sp, False)
-    records.append(
-        _part_record("lemma-2.1.2", group_name, None, inst, sampled, t0)
-    )
+    yield "lemma-2.1.2", *_restriction_part(G, lat, sp, False)
 
     # (3) s-permutable Hall subgroups are normal
-    t0 = time.perf_counter()
     inst = [
         (_normalizer_mask(G, m) == full, _detail(G, {"subgroup": m}))
         for m in sp
         if gcd(m.bit_count(), G.order() // m.bit_count()) == 1
     ]
-    records.append(
-        _part_record("lemma-2.1.3", group_name, None, inst, False, t0)
-    )
+    yield "lemma-2.1.3", inst, False
 
     # (4) for normal K <= H: H s-permutable iff H/K s-permutable in G/K
-    t0 = time.perf_counter()
     inst, sampled = [], False
     for nm in lat.normal:
         if sampled:
@@ -433,59 +438,38 @@ def verify_lemma_2_1(
         Q, block = _images(G, nm, lat.rows[take])
         for i, rhs in zip(take, _block_predicate(Q, block, False).tolist()):
             detail = _detail(
-                G,
-                {"subgroup": lat.masks[i]},
-                kernel_order=nm.bit_count(),
-                in_group=sperm[i],
-                in_quotient=rhs,
+                G, {"subgroup": lat.masks[i]}, kernel_order=nm.bit_count(),
+                in_group=sperm[i], in_quotient=rhs,
             )
             inst.append((sperm[i] == rhs, detail))
-    records.append(
-        _part_record("lemma-2.1.4", group_name, None, inst, sampled, t0)
-    )
+    yield "lemma-2.1.4", inst, sampled
 
     # (5) intersections of s-permutable subgroups are s-permutable
-    t0 = time.perf_counter()
-    inst, sampled = [], False
-    for i in range(len(sp)):
-        if sampled:
-            break
-        for j in range(i + 1, len(sp)):
-            if len(inst) >= PART_BUDGET:
-                sampled = True
-                break
-            a, b = sp[i], sp[j]
-            parts = {"first": a, "second": b, "intersection": a & b}
-            inst.append((sperm[lat.row[a & b]], _detail(G, parts)))
-    records.append(
-        _part_record("lemma-2.1.5", group_name, None, inst, sampled, t0)
-    )
+    take, sampled = _budgeted(combinations(sp, 2))
+    inst = []
+    for a, b in take:
+        parts = {"first": a, "second": b, "intersection": a & b}
+        inst.append((sperm[lat.row[a & b]], _detail(G, parts)))
+    yield "lemma-2.1.5", inst, sampled
 
     # (6) p-subgroups: s-permutable iff the normalizer contains the p-residual
-    t0 = time.perf_counter()
-    inst, sampled = [], False
     res_masks = {p: _p_residual_mask(G, p) for p in primes_of(G)}
-    for m, lhs in zip(lat.masks, sperm):
-        p = _p_subgroup_prime(G, m)
-        if p is None:
-            continue
-        if len(inst) >= PART_BUDGET:
-            sampled = True
-            break
+    p_subgroups = (
+        (m, lhs, p)
+        for m, lhs in zip(lat.masks, sperm)
+        if (p := _p_subgroup_prime(G, m)) is not None
+    )
+    take, sampled = _budgeted(p_subgroups)
+    inst = []
+    for m, lhs, p in take:
         nz_mask = _normalizer_mask(G, m)
         rhs = res_masks[p] | nz_mask == nz_mask
         detail = _detail(
-            G,
-            {"subgroup": m},
-            prime=p,
-            s_permutable=lhs,
+            G, {"subgroup": m}, prime=p, s_permutable=lhs,
             normalizer_contains_residual=rhs,
         )
         inst.append((lhs == rhs, detail))
-    records.append(
-        _part_record("lemma-2.1.6", group_name, None, inst, sampled, t0)
-    )
-    return records
+    yield "lemma-2.1.6", inst, sampled
 
 
 def _ssp_p_subgroups(G: Group, lat: _Lattice) -> list[tuple[int, int]]:
@@ -503,31 +487,22 @@ def verify_lemma_2_2(
     G: Group, group_name: str = "?", lattice_cap: int = DEFAULT_LATTICE_CAP
 ) -> list[VerificationRecord]:
     """Closure properties of s-semipermutable p-subgroups."""
-    t0 = time.perf_counter()
+    return _run_parts(group_name, _lemma_2_2_parts(G, lattice_cap))
+
+
+def _lemma_2_2_parts(G: Group, lattice_cap: int):
     lat = _lattice(G, lattice_cap)
     full = (1 << G.order()) - 1
     sperm = _lattice_predicate(G, False, lat).tolist()
     ssemi = _lattice_predicate(G, True, lat).tolist()
     ssp = _ssp_p_subgroups(G, lat)
     separation = sum(1 for _, m in ssp if not sperm[lat.row[m]])
-    records = []
 
     # (1) restriction to intermediate subgroups, sampled
     inst, sampled = _restriction_part(G, lat, [m for _, m in ssp], True)
-    records.append(
-        _part_record(
-            "lemma-2.2.1",
-            group_name,
-            None,
-            inst,
-            sampled,
-            t0,
-            extra={"separation_count": separation},
-        )
-    )
+    yield "lemma-2.2.1", inst, sampled, {"separation_count": separation}
 
     # (2) images modulo normal subgroups stay s-semipermutable
-    t0 = time.perf_counter()
     inst, sampled = [], False
     ssp_rows = lat.rows[[lat.row[m] for _, m in ssp]]
     for nm in lat.normal:
@@ -544,12 +519,9 @@ def verify_lemma_2_2(
                 G, {"subgroup": m}, kernel_order=nm.bit_count(), image_order=order
             )
             inst.append((ok, detail))
-    records.append(
-        _part_record("lemma-2.2.2", group_name, None, inst, sampled, t0)
-    )
+    yield "lemma-2.2.2", inst, sampled
 
     # (3) inside the p-core, s-semipermutable implies s-permutable
-    t0 = time.perf_counter()
     inst, sampled = [], False
     cores = {p: _o_p_mask(G, p) for p in primes_of(G)}
     for p, m in ssp:
@@ -559,27 +531,16 @@ def verify_lemma_2_2(
         if m | cores[p] != cores[p]:
             continue
         inst.append((sperm[lat.row[m]], _detail(G, {"subgroup": m}, prime=p)))
-    records.append(
-        _part_record("lemma-2.2.3", group_name, None, inst, sampled, t0)
-    )
+    yield "lemma-2.2.3", inst, sampled
 
     # (4) intersections with normal subgroups stay s-semipermutable
-    t0 = time.perf_counter()
-    inst, sampled = [], False
-    for nm in lat.normal:
-        if sampled:
-            break
-        for p, m in ssp:
-            if len(inst) >= PART_BUDGET:
-                sampled = True
-                break
-            parts = {"subgroup": m, "intersection": m & nm}
-            detail = _detail(G, parts, normal_order=nm.bit_count())
-            inst.append((ssemi[lat.row[m & nm]], detail))
-    records.append(
-        _part_record("lemma-2.2.4", group_name, None, inst, sampled, t0)
-    )
-    return records
+    take, sampled = _budgeted(product(lat.normal, ssp))
+    inst = []
+    for nm, (_, m) in take:
+        parts = {"subgroup": m, "intersection": m & nm}
+        detail = _detail(G, parts, normal_order=nm.bit_count())
+        inst.append((ssemi[lat.row[m & nm]], detail))
+    yield "lemma-2.2.4", inst, sampled
 
 
 def verify_lemma_2_3(
@@ -591,13 +552,16 @@ def verify_lemma_2_3(
     the Sylow representatives instead of the full lattice, and the record
     is flagged sampled.
     """
-    t0 = time.perf_counter()
+    return _run_parts(group_name, _lemma_2_3_parts(G, lattice_cap))
+
+
+def _lemma_2_3_parts(G: Group, lattice_cap: int):
     n = G.order()
-    inst, sampled = [], False
+    capped = False
     try:
         candidates = [m for _, m in _ssp_p_subgroups(G, _lattice(G, lattice_cap))]
     except LatticeCapError:
-        sampled = True
+        capped = True
         found = set()
         for p in primes_of(G):
             P = all_sylow_subgroups(G, p).representative
@@ -614,23 +578,25 @@ def verify_lemma_2_3(
     def closure(m: int) -> int:
         return mask_from_indices(_normal_closure_indices(G, m), n)
 
-    for m in candidates:
-        if len(inst) >= PART_BUDGET:
-            sampled = True
-            break
+    take, sampled = _budgeted(candidates)
+    inst = []
+    for m in take:
         ok = g_soluble or derived_series_masks(G, closure(m))[-1] == 1
         detail = lambda m=m: {
             **_detail(G, {"subgroup": m})(), "closure_order": closure(m).bit_count()
         }
         inst.append((ok, detail))
-    return [_part_record("lemma-2.3", group_name, None, inst, sampled, t0)]
+    yield "lemma-2.3", inst, capped or sampled
 
 
 def verify_lemma_2_4(
     G: Group, group_name: str = "?", lattice_cap: int = DEFAULT_LATTICE_CAP
 ) -> list[VerificationRecord]:
     """Complements of coprime abelian normal subgroups lift to the group."""
-    t0 = time.perf_counter()
+    return _run_parts(group_name, _lemma_2_4_parts(G, lattice_cap))
+
+
+def _lemma_2_4_parts(G: Group, lattice_cap: int):
     lat = _lattice(G, lattice_cap)
     tbl = G.table()
     n = G.order()
@@ -657,7 +623,7 @@ def verify_lemma_2_4(
             if holds is None:
                 holds = _complement_mask(lat, full, nm) is not None
             inst.append((holds, _detail(G, {"normal": nm, "intermediate": mm})))
-    return [_part_record("lemma-2.4", group_name, None, inst, sampled, t0)]
+    yield "lemma-2.4", inst, sampled
 
 
 def verify_srinivasan(
@@ -688,16 +654,7 @@ def verify_srinivasan(
         break
     concl = is_supersoluble(G)
     wit["supersoluble"] = concl
-    return VerificationRecord(
-        check="srinivasan",
-        group=group_name,
-        prime=None,
-        hypothesis=hyp,
-        conclusion=concl,
-        violated=hyp and not concl,
-        witnesses=wit,
-        elapsed=time.perf_counter() - t0,
-    )
+    return _record("srinivasan", group_name, None, hyp, concl, wit, t0)
 
 
 def verify_corollary_4_1(
@@ -710,41 +667,15 @@ def verify_corollary_4_1(
     t0 = time.perf_counter()
     p = primes_of(G)[0] if G.order() > 1 else None
     if p is None:
-        return [
-            VerificationRecord(
-                check="cor-4.1",
-                group=group_name,
-                prime=None,
-                hypothesis=True,
-                conclusion=True,
-                violated=False,
-                witnesses={"trivial": True},
-                elapsed=time.perf_counter() - t0,
-            )
-        ]
+        return [_record("cor-4.1", group_name, None, True, True, {"trivial": True}, t0)]
     hyp, hw = main_hypothesis(G, p, mode)
     nilp = is_p_nilpotent(G, p)
-    fwd = VerificationRecord(
-        check="cor-4.1",
-        group=group_name,
-        prime=p,
-        hypothesis=hyp,
-        conclusion=nilp,
-        violated=hyp and not nilp,
-        witnesses={"hypothesis": hw, "p_nilpotent": nilp},
-        elapsed=time.perf_counter() - t0,
+    fwd = _record(
+        "cor-4.1", group_name, p, hyp, nilp, {"hypothesis": hw, "p_nilpotent": nilp}, t0
     )
-    conv = VerificationRecord(
-        check="cor-4.1-conv",
-        group=group_name,
-        prime=p,
-        hypothesis=nilp,
-        conclusion=hyp,
-        violated=nilp and not hyp,
-        witnesses={"p_nilpotent": nilp, "hypothesis": hw},
-        elapsed=0.0,
-    )
-    return [fwd, conv]
+    # the converse reads the same two verdicts, whose time fwd already counts
+    wit = {"p_nilpotent": nilp, "hypothesis": hw}
+    return [fwd, _record("cor-4.1-conv", group_name, p, nilp, hyp, wit, None)]
 
 
 def verify_corollary_4_2(
@@ -759,16 +690,8 @@ def verify_corollary_4_2(
     hyp_family, hw = main_hypothesis(G, p, mode)
     hyp = soluble_p and hyp_family
     concl = is_p_supersoluble(G, p)
-    return VerificationRecord(
-        check="cor-4.2",
-        group=group_name,
-        prime=p,
-        hypothesis=hyp,
-        conclusion=concl,
-        violated=hyp and not concl,
-        witnesses={"p_soluble": soluble_p, "family_hypothesis": hw},
-        elapsed=time.perf_counter() - t0,
-    )
+    wit = {"p_soluble": soluble_p, "family_hypothesis": hw}
+    return _record("cor-4.2", group_name, p, hyp, concl, wit, t0)
 
 
 def verify_corollary_4_3(
@@ -785,17 +708,9 @@ def verify_corollary_4_3(
     hyp_family, hw = main_hypothesis(G, p, mode)
     hyp = normalizer_nilp and hyp_family
     concl = is_p_nilpotent(G, p)
-    return VerificationRecord(
-        check="cor-4.3",
-        group=group_name,
-        prime=p,
-        hypothesis=hyp,
-        conclusion=concl,
-        violated=hyp and not concl,
-        witnesses={
-            "normalizer_order": nm.bit_count(),
-            "normalizer_p_nilpotent": normalizer_nilp,
-            "family_hypothesis": hw,
-        },
-        elapsed=time.perf_counter() - t0,
-    )
+    wit = {
+        "normalizer_order": nm.bit_count(),
+        "normalizer_p_nilpotent": normalizer_nilp,
+        "family_hypothesis": hw,
+    }
+    return _record("cor-4.3", group_name, p, hyp, concl, wit, t0)

@@ -276,7 +276,7 @@ def test_normalizers_above_the_derived_subgroup_are_stored_unscanned(monkeypatch
 
 def test_lattice_record_against_normal_subgroup_masks():
     """The record's normal members, read from the normalizers cached while
-    the lattice is built, are the join closure's list, in the same order,
+    the lattice is built, are the normal-subgroup search's list, in order,
     and its order buckets cut the members into runs in lattice order: over
     the corpus and over every G/N of three groups with several normal
     subgroups."""
@@ -291,6 +291,16 @@ def test_lattice_record_against_normal_subgroup_masks():
         assert all(m.bit_count() == k for k, ms in lat.of_order.items() for m in ms)
         assert [lat.row[m] for m in lat.masks] == list(range(len(lat.masks)))
         assert groups._row_masks(lat.rows) == lat.masks
+
+
+def test_normal_subgroup_search_finds_an_abelian_lattice():
+    """Every subgroup of an abelian group is normal, so the search over
+    joins of normal atoms finds all 2,825 subgroups of C2^6, in lattice
+    order."""
+    G = elementary_abelian(2, 6)
+    masks = normal_subgroup_masks(G)
+    assert len(masks) == 2825
+    assert masks == lattice_masks(G)
 
 
 def test_lemma_suites_build_no_join_closure(monkeypatch):

@@ -173,12 +173,26 @@ def test_corollary_4_2_and_4_3(s3, a5):
         assert not verify_corollary_4_3(a5, p, group_name="A5").violated
 
 
-def test_record_invariant_enforced():
-    with pytest.raises(AssertionError):
-        VerificationRecord(
-            check="x", group="g", prime=2,
-            hypothesis=False, conclusion=False, violated=True,
-        )
+def test_violated_and_status_are_derived():
+    """``violated`` is read from the hypothesis and conclusion, so it cannot
+    disagree with them; skipped and error records have no hypothesis."""
+    table = [
+        ((True, False), True, "VIOLATED"),
+        ((True, True), False, "ok"),
+        ((False, False), False, "ok"),
+        ((None, None), False, "ok"),
+    ]
+    for (hyp, concl), violated, status in table:
+        r = VerificationRecord("x", "g", 2, hypothesis=hyp, conclusion=concl)
+        assert (r.violated, r.status) == (violated, status), (hyp, concl)
+    for extra, status in [
+        ({"skipped": "cap"}, "skipped:cap"),
+        ({"error": "E"}, "error:E"),
+    ]:
+        r = VerificationRecord("x", "g", 2, None, None, **extra)
+        assert (r.violated, r.status) == (False, status)
+    with pytest.raises(AttributeError):
+        r.violated = True
 
 
 def test_expand_checks():
@@ -265,8 +279,7 @@ def test_violation_aborts_with_witness(tmp_path, monkeypatch):
     def fake_verify_main(G, p, mode=HypothesisMode.EXISTS, group_name="?"):
         return VerificationRecord(
             check="main", group=group_name, prime=p,
-            hypothesis=True, conclusion=False, violated=True,
-            witnesses={"forced": True},
+            hypothesis=True, conclusion=False, witnesses={"forced": True},
         )
 
     monkeypatch.setattr(runner_mod, "verify_main", fake_verify_main)
@@ -539,3 +552,69 @@ def test_restriction_parts_skip_a_sylow_subgroup_alone_in_k(monkeypatch):
                     )
                     assert got == every, (name, i, km)
     assert read
+
+
+class _Clock:
+    """Stands in for the ``time`` module that ``theorems`` reads: its
+    counter moves only when a test moves it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+
+def test_elapsed_attribution(monkeypatch):
+    """A lemma record's elapsed runs from the end of the previous record
+    of its task, the first from the call's start, so the first records of
+    lemmas 2.1 and 2.2 carry the lattice's time, each quotient part its
+    own G/N work, and every task's records sum to the clock span of its
+    call; a single-record check spans its whole call.  The sweeps' latency
+    metrics sum these elapsed times per task."""
+    clock = _Clock()
+    monkeypatch.setattr(theorems, "time", clock)
+    images = []
+
+    def advancing(name, by):
+        real = getattr(theorems, name)
+
+        def slow(*args, **kwargs):
+            clock.now += by
+            if name == "_images":
+                images.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(theorems, name, slow)
+
+    advancing("_lattice", 1000)
+    advancing("main_hypothesis", 1000)
+    advancing("is_supersoluble", 1000)
+    advancing("_images", 1)
+    tasks = {
+        "lemma-2.1": verify_lemma_2_1,
+        "lemma-2.2": verify_lemma_2_2,
+        "lemma-2.3": verify_lemma_2_3,
+        "lemma-2.4": verify_lemma_2_4,
+        "main": lambda G: [verify_main(G, 2)],
+        "cor-4.1": verify_corollary_4_1,
+        "cor-4.2": lambda G: [verify_corollary_4_2(G, 3)],
+        "cor-4.3": lambda G: [verify_corollary_4_3(G, 2)],
+        "srinivasan": lambda G: [verify_srinivasan(G)],
+    }
+    S4 = named_group("S4").group
+    elapsed, quotients = {}, {}
+    for task, run in tasks.items():
+        G = Group(S4.degree, S4.generators)  # cold caches
+        images.clear()
+        start = clock.now
+        records = run(G)
+        assert sum(r.elapsed for r in records) == clock.now - start, task
+        elapsed[task] = [r.elapsed for r in records]
+        quotients[task] = len(images)
+    assert quotients["lemma-2.1"] == quotients["lemma-2.2"] == 2  # V4 and A4
+    assert elapsed["lemma-2.1"] == [1000, 0, 0, 2, 0, 0]
+    assert elapsed["lemma-2.2"] == [1000, 2, 0, 0]
+    assert elapsed["cor-4.1"] == [1000, 0.0]
+    for task in ("lemma-2.3", "lemma-2.4", "main", "cor-4.2", "cor-4.3", "srinivasan"):
+        assert elapsed[task] == [1000], task
